@@ -17,6 +17,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .distributions import (
     t_quantile,
 )
 from .errors import DegenerateDataError, InfeasibleLevelError
-from .regions import Interval, Region, SortedSample, make_sample, region_from_gamma0
+from .regions import Interval, Region, SortedSample, region_from_gamma0
 
 __all__ = [
     "ClampedProbabilityWarning",
@@ -79,10 +80,19 @@ def cr_t(sample: SortedSample, alpha: float) -> Region:
     return _closed(mean - half, mean + half)
 
 
-def _walsh_averages(values: tuple[float, ...]) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    i, j = np.triu_indices(arr.size)
-    return np.sort((arr[i] + arr[j]) / 2.0)
+@lru_cache(maxsize=None)
+def _count_cutoffs(cdf, n: int, top: int, alpha: float) -> tuple[int, int]:
+    """Cutoffs (k1, k2) of the nondecreasing null CDF ``cdf(w, n)`` on 0..top.
+
+    k1 is the largest w with cdf(w, n) <= alpha/2 (-1 when there is none) and
+    k2 the smallest w with cdf(w, n) >= 1 - alpha/2 (top when rounding leaves
+    even cdf(top, n) below that level; exactly, it is 1).  Both sets are runs at the ends of 0..top, so bisection finds them; they
+    depend on (n, alpha) alone, so each pair is searched once per process.
+    """
+    ws = range(top + 1)
+    k1 = bisect.bisect_left(ws, True, key=lambda w: cdf(w, n) > alpha / 2.0) - 1
+    k2 = bisect.bisect_left(ws, True, key=lambda w: cdf(w, n) >= 1.0 - alpha / 2.0)
+    return k1, min(k2, top)
 
 
 def cr_wilcoxon(sample: SortedSample, alpha: float) -> Region:
@@ -91,7 +101,8 @@ def cr_wilcoxon(sample: SortedSample, alpha: float) -> Region:
     With N = n(n+1)/2 Walsh averages W_(1) <= ... <= W_(N) and the exact null
     CDF of the signed-rank statistic, the region is [W_(k1+1), W_(k2+1)) where
     k1 is the largest w with CDF(w) <= alpha/2 and k2 the smallest w with
-    CDF(w) >= 1 - alpha/2.  Levels beyond 1 - 2^(1-n) are infeasible.
+    CDF(w) >= 1 - alpha/2; W_(N+1) = +inf, and a window of zero width is
+    empty.  Levels beyond 1 - 2^(1-n) are infeasible.
     """
     _check_alpha(alpha)
     n = sample.n
@@ -104,10 +115,17 @@ def cr_wilcoxon(sample: SortedSample, alpha: float) -> Region:
             detail="signed-rank window undefined at this level",
         )
     top = n * (n + 1) // 2
-    k1 = max(w for w in range(top + 1) if signed_rank_null_cdf(w, n) <= alpha / 2.0)
-    k2 = min(w for w in range(top + 1) if signed_rank_null_cdf(w, n) >= 1.0 - alpha / 2.0)
-    walsh = make_sample(_walsh_averages(sample.values))
-    return region_from_gamma0(walsh, range(k1 + 1, k2 + 1))
+    k1, k2 = _count_cutoffs(signed_rank_null_cdf, n, top, alpha)
+    arr = sample.as_array()
+    i, j = np.triu_indices(n)
+    walsh = (arr[i] + arr[j]) / 2.0
+    if not np.isfinite(walsh).all():
+        raise ValueError("Walsh averages overflow: data too large in magnitude")
+    # Only the two window ends are needed, not the whole sorted Walsh sample.
+    walsh = np.partition(walsh, (k1, k2) if k2 < top else k1)
+    lo = float(walsh[k1])
+    hi = float(walsh[k2]) if k2 < top else math.inf
+    return Region((Interval(lo, hi),)) if lo < hi else Region()
 
 
 def cr_sign(sample: SortedSample, alpha: float) -> Region:
@@ -120,17 +138,7 @@ def cr_sign(sample: SortedSample, alpha: float) -> Region:
     """
     _check_alpha(alpha)
     n = sample.n
-    k1 = -1
-    for w in range(n + 1):
-        if binom_cdf(w, n) <= alpha / 2.0:
-            k1 = w
-        else:
-            break
-    k2 = n
-    for w in range(n + 1):
-        if binom_cdf(w, n) >= 1.0 - alpha / 2.0:
-            k2 = w
-            break
+    k1, k2 = _count_cutoffs(binom_cdf, n, n, alpha)
     return region_from_gamma0(sample, range(k1 + 1, k2 + 1))
 
 

@@ -24,7 +24,7 @@ import warnings
 
 from .classical import bootstrap_medians
 from .distributions import RngStream, binom_pmf_fraction, exponential, study_distributions
-from .errors import DegenerateDataError, InfeasibleLevelError
+from .errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from .methods import METHODS, compute_region, parse_method_ids
 from .optimal import select_gamma0
 from .regions import make_sample, region_from_gamma0
@@ -154,6 +154,10 @@ def _cmd_cr(args) -> int:
         except InfeasibleLevelError as exc:
             print(f"error: method {m} ({info.name}): {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
+        except UnsupportedSizeError as exc:
+            # A size limit of the method: jittering the data cannot help.
+            print(f"error: method {m} ({info.name}): {exc}", file=sys.stderr)
+            return EXIT_DATA
         except (DegenerateDataError, ValueError) as exc:
             print(
                 f"error: method {m} ({info.name}): {exc}"

@@ -17,11 +17,13 @@ one normal draw).  That keeps every sampler stable under a fixed stream key.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy import optimize as _optimize
@@ -36,6 +38,7 @@ __all__ = [
     "binom_cdf",
     "binom_quantile",
     "binom_pmf_fraction",
+    "binom_counts",
     "norm_cdf",
     "norm_quantile",
     "t_quantile",
@@ -69,25 +72,38 @@ _U_FLOOR = 2.0 ** -53
 # ---------------------------------------------------------------------------
 
 
-def _check_binom_n(n: int) -> None:
+def _check_binom_n(n: int) -> int:
     if not isinstance(n, (int, np.integer)):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1 or n > MAX_BINOM_N:
         raise ValueError(f"n must be in 1..{MAX_BINOM_N}, got {n}")
+    return int(n)
+
+
+def _check_binom_k(k: int, n: int) -> int:
+    n = _check_binom_n(n)
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in 0..{n}, got {k}")
+    return n
 
 
 @lru_cache(maxsize=None)
-def _binom_fractions(n: int) -> tuple[Fraction, ...]:
-    denom = 1 << n
-    return tuple(Fraction(math.comb(n, k), denom) for k in range(n + 1))
+def _binom_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # C(n, k) and its prefix sums: the pmf and the CDF of Binomial(n, 1/2),
+    # each scaled by 2**n, so every mass and comparison is an exact integer.
+    counts = tuple(math.comb(n, k) for k in range(n + 1))
+    return counts, tuple(accumulate(counts))
+
+
+def binom_counts(n: int) -> tuple[int, ...]:
+    """C(n, k) for k = 0..n: the Binomial(n, 1/2) pmf scaled by 2**n."""
+    return _binom_tables(_check_binom_n(n))[0]
 
 
 def binom_pmf_fraction(k: int, n: int) -> Fraction:
     """Exact P{B = k} for B ~ Binomial(n, 1/2), as a Fraction."""
-    _check_binom_n(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in 0..{n}, got {k}")
-    return _binom_fractions(n)[k]
+    n = _check_binom_k(k, n)
+    return Fraction(_binom_tables(n)[0][k], 1 << n)
 
 
 def binom_pmf(k: int, n: int) -> float:
@@ -96,16 +112,15 @@ def binom_pmf(k: int, n: int) -> float:
     The value is the correctly rounded float of the exact dyadic rational
     C(n, k) / 2**n.
     """
-    return float(binom_pmf_fraction(k, n))
+    n = _check_binom_k(k, n)
+    # int / int is correctly rounded, so this is float(Fraction(C(n, k), 2**n)).
+    return _binom_tables(n)[0][k] / (1 << n)
 
 
 def binom_cdf(k: int, n: int) -> float:
     """P{B <= k} for B ~ Binomial(n, 1/2), exact up to the final rounding."""
-    _check_binom_n(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in 0..{n}, got {k}")
-    fr = _binom_fractions(n)
-    return float(sum(fr[: k + 1], start=Fraction(0)))
+    n = _check_binom_k(k, n)
+    return _binom_tables(n)[1][k] / (1 << n)
 
 
 def binom_quantile(p: float, n: int) -> int:
@@ -115,17 +130,10 @@ def binom_quantile(p: float, n: int) -> int:
     against dyadic rationals.  ``binom_quantile(0.0, n) == 0`` and
     ``binom_quantile(1.0, n) == n``.
     """
-    _check_binom_n(n)
+    n = _check_binom_n(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    target = Fraction(p)
-    cum = Fraction(0)
-    fr = _binom_fractions(n)
-    for k in range(n + 1):
-        cum += fr[k]
-        if cum >= target:
-            return k
-    return n
+    return bisect.bisect_left(_binom_tables(n)[1], Fraction(p) * (1 << n))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .distributions import binom_pmf_fraction
+from .distributions import binom_counts
 from .errors import InfeasibleLevelError
 from .regions import Region, SortedSample, region_from_gamma0
 from .spacings import (
@@ -116,15 +116,18 @@ def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     n = profile.n
-    target = Fraction(1) - Fraction(alpha)
+    # Masses are integer counts over 2**n, so the accounting below is exact.
+    counts = binom_counts(n)
+    scale = 1 << n
+    target = (1 - Fraction(alpha)) * scale
     groups = _ratio_groups(profile)
 
     included: list[int] = []
-    cum = Fraction(0)
+    cum = 0
     tie_ratio = 0.0
     tie_ks: list[int] = []
     for ratio, ks in groups:
-        mass = sum((binom_pmf_fraction(k, n) for k in ks), start=Fraction(0))
+        mass = sum(counts[k] for k in ks)
         if cum + mass <= target:
             included.extend(ks)
             cum += mass
@@ -135,7 +138,7 @@ def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
     if not tie_ks and cum < target:
         raise InfeasibleLevelError(
             requested=1.0 - alpha,
-            attainable=float(cum),
+            attainable=cum / scale,
             detail="every count with a finite spacing is already admitted",
         )
 
@@ -146,15 +149,15 @@ def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
             n=n, alpha=alpha,
             included=frozenset(included), tie_set=frozenset(),
             c=tie_ratio, gamma=0.0,
-            p_included=float(cum), p_tie=0.0,
+            p_included=cum / scale, p_tie=0.0,
         )
-    tie_mass = sum((binom_pmf_fraction(k, n) for k in tie_ks), start=Fraction(0))
+    tie_mass = sum(counts[k] for k in tie_ks)
     gamma = float(remainder / tie_mass)
     return Gamma0Selection(
         n=n, alpha=alpha,
         included=frozenset(included), tie_set=frozenset(tie_ks),
         c=tie_ratio, gamma=gamma,
-        p_included=float(cum), p_tie=float(tie_mass),
+        p_included=cum / scale, p_tie=tie_mass / scale,
     )
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .classical import bootstrap_medians
 from .distributions import DistributionSpec, RngStream, sample
-from .errors import DegenerateDataError, InfeasibleLevelError
+from .errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from .methods import METHODS, compute_region
 from .regions import make_sample
 
@@ -120,7 +120,7 @@ def replicate(
         u = rng.child("rand", m).uniform() if METHODS[m].randomized else None
         try:
             region = compute_region(m, srt, alpha, u=u, boot=boot)
-        except (InfeasibleLevelError, DegenerateDataError):
+        except (InfeasibleLevelError, DegenerateDataError, UnsupportedSizeError):
             out[m] = RepOutcome(covered=False, content=math.nan, failed=True)
             continue
         out[m] = RepOutcome(covered=region.contains(target), content=region.content)

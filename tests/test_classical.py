@@ -1,6 +1,7 @@
 """Classical intervals: t, signed rank, sign counts, asymptotic, bootstrap."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,15 @@ def test_wilcoxon_infeasible_level():
     assert ei.value.attainable == pytest.approx(1.0 - 2.0 ** -3)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_wilcoxon_walsh_overflow_raises():
+    # x_i + x_j overflows to inf near the top of the float range; the window
+    # would be wrong, so the procedure refuses rather than return it.
+    data = [1.7e308 * (1 - i / 100) for i in range(10)]
+    with pytest.raises(ValueError, match="overflow"):
+        cr_wilcoxon(make_sample(data), 0.05)
+
+
 def test_wilcoxon_region_is_within_walsh_range_and_covers_median():
     data = sample(normal(), 12, RngStream(21, ("wx",)))
     s = make_sample(data)
@@ -154,6 +164,116 @@ def test_sign_region_exact_coverage_at_least_nominal(alpha):
         low = binom_cdf(k1, n) if k1 >= 0 else 0.0
         cover = binom_cdf(k2, n) - low
         assert cover >= 1.0 - alpha - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Cutoff search against the linear scans of the coverage tests
+# ---------------------------------------------------------------------------
+
+CUTOFF_ALPHAS = (0.01, 0.05, 0.1, 0.5)
+
+
+def exact_binom_cdf(n):
+    """Oracle: P{B <= k}, k = 0..n, as exact prefix sums of C(n, j) rounded once."""
+    out, acc = [], 0
+    for j in range(n + 1):
+        acc += math.comb(n, j)
+        out.append(float(Fraction(acc, 2 ** n)))
+    return out
+
+
+def sign_scan_window(cdf, alpha):
+    """(k1, k2) by the scan of test_sign_region_exact_coverage_at_least_nominal."""
+    k1 = -1
+    for w, c in enumerate(cdf):
+        if c <= alpha / 2.0:
+            k1 = w
+        else:
+            break
+    k2 = len(cdf) - 1
+    for w, c in enumerate(cdf):
+        if c >= 1.0 - alpha / 2.0:
+            k2 = w
+            break
+    return k1, k2
+
+
+def window(ordered, k1, k2):
+    """Intervals of [ordered[k1], ordered[k2]), 0-based.
+
+    Index -1 reads as -inf and index len(ordered) as +inf; a window of zero
+    width is empty.
+    """
+    lo = ordered[k1] if k1 >= 0 else -math.inf
+    hi = ordered[k2] if k2 < len(ordered) else math.inf
+    return (Interval(lo, hi),) if lo < hi else ()
+
+
+def walsh_sorted(values):
+    """Oracle: every (x_i + x_j) / 2, i <= j, sorted in plain Python."""
+    return sorted((a + b) / 2.0 for i, a in enumerate(values) for b in values[i:])
+
+
+def signed_rank_cdf_table(n):
+    return [signed_rank_null_cdf(w, n) for w in range(n * (n + 1) // 2 + 1)]
+
+
+def signed_rank_scan_window(cdf, alpha):
+    """(k1, k2) by the scans of test_wilcoxon_exact_null_coverage."""
+    k1 = max(w for w, c in enumerate(cdf) if c <= alpha / 2.0)
+    k2 = min(w for w, c in enumerate(cdf) if c >= 1.0 - alpha / 2.0)
+    return k1, k2
+
+
+def test_sign_region_equals_linear_scan_window():
+    # On the sample 1..n the order statistics are x_(k) = k.
+    for n in list(range(1, 301)) + [1000]:
+        values = [float(v) for v in range(1, n + 1)]
+        s = make_sample(values)
+        cdf = exact_binom_cdf(n)
+        for alpha in CUTOFF_ALPHAS:
+            expected = window(values, *sign_scan_window(cdf, alpha))
+            assert cr_sign(s, alpha).intervals == expected, (n, alpha)
+
+
+def test_wilcoxon_region_equals_linear_scan_window():
+    # On the sample 1..n the Walsh averages are (i + j) / 2, 1 <= i <= j <= n.
+    for n in range(1, 201):
+        feasible = [a for a in CUTOFF_ALPHAS if 0.5 ** n <= a / 2.0]
+        if not feasible:
+            continue
+        values = [float(v) for v in range(1, n + 1)]
+        s = make_sample(values)
+        walsh = walsh_sorted(values)
+        cdf = signed_rank_cdf_table(n)
+        for alpha in feasible:
+            expected = window(walsh, *signed_rank_scan_window(cdf, alpha))
+            assert cr_wilcoxon(s, alpha).intervals == expected, (n, alpha)
+
+
+def test_cutoff_windows_on_tied_sample():
+    # Nine tied zeros and a one: the sign window at alpha = 0.05 has zero
+    # width (x_(2) = x_(9) = 0) and is empty; at alpha = 0.01 it is [0, 1).
+    values = [0.0] * 9 + [1.0]
+    s = make_sample(values)
+    walsh = walsh_sorted(values)
+    cdf = exact_binom_cdf(10)
+    wx_cdf = signed_rank_cdf_table(10)
+    seen = []
+    for alpha in CUTOFF_ALPHAS:
+        sign = window(values, *sign_scan_window(cdf, alpha))
+        assert cr_sign(s, alpha).intervals == sign
+        seen.append(sign)
+        if 0.5 ** 10 <= alpha / 2.0:
+            wx = window(walsh, *signed_rank_scan_window(wx_cdf, alpha))
+            assert cr_wilcoxon(s, alpha).intervals == wx
+            seen.append(wx)
+    assert () in seen
+    assert (Interval(0.0, 1.0),) in seen
+    # All observations tied: every window has zero width.
+    flat = make_sample([2.5] * 12)
+    assert cr_sign(flat, 0.05).is_empty
+    assert cr_wilcoxon(flat, 0.05).is_empty
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,15 @@ def test_cr_tied_data_suggests_jitter(tmp_path, capsys):
     assert "consider --jitter" in capsys.readouterr().err
 
 
+def test_cr_unsupported_size_exits_without_jitter_hint(tmp_path, capsys):
+    p = tmp_path / "big.txt"
+    p.write_text(" ".join(str(v) for v in range(250)))
+    assert main(["cr", "--input", str(p), "--methods", "2"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "signed_rank" in err
+    assert "jitter" not in err
+
+
 def test_cr_jitter_resolves_ties(tmp_path, capsys):
     p = tmp_path / "tied.txt"
     p.write_text("1 1 2 3 4 5 6 7 8 9")

@@ -77,6 +77,15 @@ def test_binom_cdf_known_values():
     assert binom_cdf(0, 10) == 1 / 1024
 
 
+@pytest.mark.parametrize("n", [1, 17, 53, 54, 200, 1000])
+def test_binom_cdf_equals_rounded_exact_prefix_sum(n):
+    # Oracle: the exact prefix sum of C(n, j) over 2**n, rounded once.
+    acc = 0
+    for k in range(n + 1):
+        acc += math.comb(n, k)
+        assert binom_cdf(k, n) == float(Fraction(acc, 2 ** n))
+
+
 def test_binom_cdf_monotone():
     vals = [binom_cdf(k, 17) for k in range(18)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
@@ -89,7 +98,7 @@ def test_binom_quantile_examples_and_edges():
     assert binom_quantile(0.5, 10) == 5
 
 
-@pytest.mark.parametrize("n", [3, 10, 41])
+@pytest.mark.parametrize("n", [3, 10, 41, 1000])
 def test_binom_quantile_is_left_inverse_of_cdf(n):
     for p100 in range(1, 100):
         p = p100 / 100

@@ -1,10 +1,13 @@
 """Randomized minimum-content selection: greedy knapsack, regions, optimality."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mediancr.classical import cr_sign
 from mediancr.distributions import (
@@ -19,6 +22,7 @@ from mediancr.distributions import (
 from mediancr.errors import InfeasibleLevelError
 from mediancr.optimal import (
     Gamma0Selection,
+    _ratio_groups,
     assemble_region,
     conservative_region,
     cr_adaptive_edf,
@@ -131,6 +135,82 @@ def test_selection_alpha_domain():
         select_gamma0(lk_uniform(5), 0.0)
     with pytest.raises(ValueError):
         select_gamma0(lk_uniform(5), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Selection: Fraction-sum reference
+# ---------------------------------------------------------------------------
+
+
+def reference_selection(profile, alpha):
+    """Oracle: the greedy accounting in Fraction sums of C(n, k) / 2**n.
+
+    Returns (included, tie_set, c, gamma, p_included, p_tie), or
+    ("infeasible", attainable).  The equal-ratio grouping is taken from the
+    library; only the mass accounting is re-derived here.
+    """
+    n = profile.n
+
+    def mass(ks):
+        return sum((Fraction(math.comb(n, k), 2 ** n) for k in ks), start=Fraction(0))
+
+    target = 1 - Fraction(alpha)
+    included, cum = [], Fraction(0)
+    tie_ratio, tie_ks = 0.0, []
+    for ratio, ks in _ratio_groups(profile):
+        if cum + mass(ks) <= target:
+            included += ks
+            cum += mass(ks)
+        else:
+            tie_ratio, tie_ks = ratio, ks
+            break
+    if not tie_ks and cum < target:
+        return ("infeasible", float(cum))
+    if cum == target:
+        return (frozenset(included), frozenset(), tie_ratio, 0.0, float(cum), 0.0)
+    return (frozenset(included), frozenset(tie_ks), tie_ratio,
+            float((target - cum) / mass(tie_ks)), float(cum), float(mass(tie_ks)))
+
+
+def selection_fields(profile, alpha):
+    try:
+        s = select_gamma0(profile, alpha)
+    except InfeasibleLevelError as exc:
+        return ("infeasible", exc.attainable)
+    return (s.included, s.tie_set, s.c, s.gamma, s.p_included, s.p_tie)
+
+
+def test_selection_matches_fraction_reference_on_closed_form_profiles():
+    rng = random.Random(20260)
+    branches = {"infeasible": 0, "natural": 0, "randomized": 0}
+    for n in range(1, 81):
+        for prof in (lk_uniform(n), lk_exponential(n)):
+            # Uniform alphas, tiny ones (infeasible for the exponential
+            # profile), and 1 - P{B = n//2} (a natural coefficient while
+            # that mass is a float).
+            alphas = [rng.random() for _ in range(3)]
+            alphas += [2.0 ** -rng.uniform(n - 2, n + 4),
+                       float(1 - Fraction(math.comb(n, n // 2), 2 ** n))]
+            for alpha in alphas:
+                if not 0.0 < alpha < 1.0:
+                    continue
+                got = selection_fields(prof, alpha)
+                assert got == reference_selection(prof, alpha), (n, alpha)
+                if got[0] == "infeasible":
+                    branches["infeasible"] += 1
+                else:
+                    branches["natural" if got[3] == 0.0 else "randomized"] += 1
+    assert all(branches.values()), branches
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=3, max_size=40, unique=True),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_selection_matches_fraction_reference_on_mom_profiles(values, alpha):
+    prof = lk_mom(make_sample(values))
+    assert selection_fields(prof, alpha) == reference_selection(prof, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,21 @@ def test_failure_accounting_and_nan_rows():
     assert math.isnan(row3.mean_content)
 
 
+def test_unsupported_size_is_a_per_replication_failure():
+    # The signed-rank null is supported up to n = 200, so at n = 250 method 2
+    # fails every replication while the sign region still runs.
+    cfg = small_config(
+        distributions=(normal(),), sample_sizes=(250,), reps=3, methods=(2, 3)
+    )
+    res = run_simulation(cfg)
+    row2 = next(r for r in res if r.method == 2)
+    assert row2.failures == 3
+    assert math.isnan(row2.coverage)
+    row3 = next(r for r in res if r.method == 3)
+    assert row3.failures == 0
+    assert 0.0 <= row3.coverage <= 1.0
+
+
 def test_coverage_and_content_recomputed_from_replicates():
     cfg = small_config(distributions=(normal(),), sample_sizes=(10,), reps=25,
                        methods=(1, 10))
