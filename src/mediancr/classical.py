@@ -194,41 +194,50 @@ class BootstrapDistribution:
 
 
 def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> BootstrapDistribution:
-    """Medians of ``breps`` with-replacement resamples, deterministic in rng."""
+    """Medians of ``breps`` with-replacement resamples, deterministic in rng.
+
+    The values are ascending, so a resample's median sits at the middle
+    column(s) of its sorted index row; no resampled values are gathered.
+    """
     if breps < 1:
         raise ValueError(f"breps must be >= 1, got {breps}")
     n = sample.n
     arr = sample.as_array()
-    gen = rng.generator()
-    idx = gen.integers(0, n, size=(breps, n))
-    med = np.sort(np.median(arr[idx], axis=1))
-    return BootstrapDistribution(tuple(float(v) for v in med), sample.median)
+    # int32 draws the same integers as the default int64 and sorts faster.
+    idx = np.sort(rng.generator().integers(0, n, size=(breps, n), dtype=np.int32), axis=1)
+    mid = n // 2
+    med = arr[idx[:, mid]] if n % 2 else (arr[idx[:, mid - 1]] + arr[idx[:, mid]]) / 2.0
+    # + 0.0 turns -0.0 into 0.0, as np.median does.
+    return BootstrapDistribution(tuple(np.sort(med + 0.0).tolist()), sample.median)
 
 
-def jackknife_acceleration(sample: SortedSample, formula: str = "cubed") -> float:
+def jackknife_acceleration(sample: SortedSample) -> float:
     """Acceleration constant from leave-one-out medians.
 
-    ``formula="cubed"`` is the standard estimate
     a = sum(d^3) / (6 * (sum(d^2))^(3/2)) with d_i the deviations of the
-    leave-one-out medians from their mean.  ``formula="squared"`` is kept as a
-    compatibility variant that squares instead of cubes the numerator terms.
-    A zero denominator (all leave-one-out medians equal) yields 0.
+    leave-one-out medians from their mean.  Dropping one point of the sorted
+    sample shifts its middle by at most one place, so there are at most three
+    distinct leave-one-out medians.  A zero denominator (all leave-one-out
+    medians equal) yields 0.
     """
-    if formula not in ("cubed", "squared"):
-        raise ValueError(f"formula must be 'cubed' or 'squared', got {formula!r}")
     n = sample.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    arr = sample.as_array()
+    a = sample.values
+    m = n // 2
     loo = np.empty(n)
-    for i in range(n):
-        loo[i] = np.median(np.delete(arr, i))
+    if n % 2:
+        loo[:m] = (a[m] + a[m + 1]) / 2.0
+        loo[m] = (a[m - 1] + a[m + 1]) / 2.0
+        loo[m + 1:] = (a[m - 1] + a[m]) / 2.0
+    else:
+        loo[:m] = a[m]
+        loo[m:] = a[m - 1]
     d = loo.mean() - loo
     denom = float(np.sum(d * d)) ** 1.5
     if denom == 0.0:
         return 0.0
-    num = float(np.sum(d ** 3)) if formula == "cubed" else float(np.sum(d * d))
-    return num / (6.0 * denom)
+    return float(np.sum(d ** 3)) / (6.0 * denom)
 
 
 def _clamped_p0(boot: BootstrapDistribution) -> float:
@@ -250,7 +259,6 @@ def cr_bootstrap(
     alpha: float,
     boot: BootstrapDistribution,
     variant: str,
-    acceleration_formula: str = "cubed",
 ) -> Region:
     """One of the five bootstrap intervals, as a closed interval.
 
@@ -265,8 +273,6 @@ def cr_bootstrap(
         them on identical resamples.
     variant : str
         One of "basic", "se", "percentile", "bc", "bca".
-    acceleration_formula : str
-        Passed through to jackknife_acceleration for the BCa variant.
     """
     _check_alpha(alpha)
     if variant not in BOOTSTRAP_VARIANTS:
@@ -294,7 +300,7 @@ def cr_bootstrap(
         p_lo = float(norm_cdf(2.0 * z0 + z_lo))
         p_hi = float(norm_cdf(2.0 * z0 + z_hi))
     else:  # bca
-        a = jackknife_acceleration(sample, acceleration_formula)
+        a = jackknife_acceleration(sample)
         p_lo = float(norm_cdf(z0 + (z0 + z_lo) / (1.0 - a * (z0 + z_lo))))
         p_hi = float(norm_cdf(z0 + (z0 + z_hi) / (1.0 - a * (z0 + z_hi))))
     return _closed(boot.quantile(p_lo), boot.quantile(p_hi))

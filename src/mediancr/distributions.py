@@ -75,8 +75,10 @@ _U_FLOOR = 2.0 ** -53
 def _check_binom_n(n: int) -> int:
     if not isinstance(n, (int, np.integer)):
         raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1 or n > MAX_BINOM_N:
+    if n < 1:
         raise ValueError(f"n must be in 1..{MAX_BINOM_N}, got {n}")
+    if n > MAX_BINOM_N:
+        raise UnsupportedSizeError(f"binomial tables supported for n in 1..{MAX_BINOM_N}, got {n}")
     return int(n)
 
 

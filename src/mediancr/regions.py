@@ -69,7 +69,7 @@ def make_sample(data: Iterable[float]) -> SortedSample:
         raise ValueError("data must be a non-empty one-dimensional collection")
     if not np.all(np.isfinite(arr)):
         raise ValueError("data must be finite")
-    return SortedSample(tuple(float(v) for v in np.sort(arr)))
+    return SortedSample(tuple(np.sort(arr).tolist()))
 
 
 @dataclass(frozen=True)

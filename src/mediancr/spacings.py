@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from scipy import integrate as _integrate
 
-from .distributions import DistributionSpec, binom_pmf
+from .distributions import DistributionSpec, binom_counts, binom_pmf
 from .errors import DegenerateDataError
 from .regions import SortedSample
 
@@ -160,11 +160,13 @@ def lk_edf(sample: SortedSample) -> LkProfile:
 
     All entries are finite (the empirical CDF has bounded support), so the
     boundary counts may enter a selection.  Ties only shrink the affected
-    terms; no error is raised.
+    terms; no error is raised.  Beyond the binomial tables (n > 1000) it
+    raises UnsupportedSizeError.
     """
     n = sample.n
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
+    counts = binom_counts(n)
     vals = sample.values
     l = []
     for k in range(n + 1):
@@ -172,7 +174,7 @@ def lk_edf(sample: SortedSample) -> LkProfile:
         for i in range(2, n + 1):
             p = (i - 1) / n
             acc += (1.0 - p) ** (n - k) * p ** k * (vals[i - 1] - vals[i - 2])
-        l.append(math.comb(n, k) * acc)
+        l.append(counts[k] * acc)
     l = tuple(l)
     return LkProfile(n, l, _ratios_from_l(n, l))
 

@@ -8,6 +8,7 @@ runtime budgets are stated inline; every test prints as its own pass/fail
 line under ``pytest -v``.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -373,3 +374,23 @@ def test_simulation_csv_byte_identical():
     ]
     assert texts[0] == texts[1] == texts[2] == texts[3]
     assert texts[0].encode() == texts[1].encode()
+
+
+def test_simulation_csv_frozen_digest():
+    """A small grid through all 13 methods keeps its frozen CSV bytes.
+
+    The digest changes only with an announced change of the output bytes;
+    a speedup that moves it is a regression."""
+    cfg = SimConfig(
+        distributions=(normal(), exponential(1.0)),
+        sample_sizes=(10, 11),
+        alpha=0.05,
+        reps=5,
+        breps=50,
+        methods=tuple(range(1, 14)),
+        master_seed=SEED,
+    )
+    text = results_to_csv(run_simulation(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a6546b30237ecfb22962270e65fef3539614b738c5abe69c9e673662dca67a72"
+    )

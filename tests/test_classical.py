@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mediancr.classical import (
     BOOTSTRAP_VARIANTS,
@@ -29,7 +31,7 @@ from mediancr.distributions import (
     t_quantile,
 )
 from mediancr.errors import DegenerateDataError, InfeasibleLevelError
-from mediancr.regions import Interval, make_sample
+from mediancr.regions import Interval, SortedSample, make_sample
 
 # ---------------------------------------------------------------------------
 # t interval
@@ -334,6 +336,59 @@ def test_bootstrap_medians_deterministic_and_sorted():
     assert b3 != b1
 
 
+TIED_VALUES = (-3.0, -0.0, 0.0, 1.0, 2.5)
+
+
+@st.composite
+def samples(draw):
+    """Samples of n = 2..120, continuous or drawn from five values (ties, -0.0)."""
+    n = draw(st.integers(2, 120))
+    if draw(st.booleans()):
+        values = st.floats(-1e6, 1e6, allow_nan=False)
+    else:
+        values = st.sampled_from(TIED_VALUES)
+    return make_sample(draw(st.lists(values, min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=samples(), breps=st.integers(1, 40), seed=st.integers(0, 2**32))
+def test_bootstrap_medians_equal_numpy_median(s, breps, seed):
+    # Oracle: np.median of the gathered resamples on the same default (int64) draw.
+    rng = RngStream(seed, ("boot",))
+    idx = rng.generator().integers(0, s.n, size=(breps, s.n))
+    expected = np.sort(np.median(s.as_array()[idx], axis=1)).tolist()
+    got = bootstrap_medians(s, breps, rng).medians
+    assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+
+@pytest.mark.parametrize(
+    "n, breps", [(2, 500), (3, 500), (20, 200), (50, 200), (1000, 20), (100_000, 2)]
+)
+def test_int32_resample_indices_equal_int64(n, breps):
+    for seed in range(20):
+        rng = RngStream(seed, ("boot",))
+        wide = rng.generator().integers(0, n, size=(breps, n))
+        narrow = rng.generator().integers(0, n, size=(breps, n), dtype=np.int32)
+        assert np.array_equal(wide, narrow), seed
+
+
+def loop_acceleration(s: SortedSample) -> float:
+    # Oracle: one np.median per deleted point, then the same moment arithmetic.
+    arr = s.as_array()
+    loo = np.array([np.median(np.delete(arr, i)) for i in range(s.n)])
+    d = loo.mean() - loo
+    denom = float(np.sum(d * d)) ** 1.5
+    if denom == 0.0:
+        return 0.0
+    return float(np.sum(d ** 3)) / (6.0 * denom)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=samples())
+def test_jackknife_acceleration_equals_leave_one_out_loop(s):
+    assert repr(jackknife_acceleration(s)) == repr(loop_acceleration(s))
+
+
 def test_bootstrap_quantile_ceiling_convention():
     boot = BootstrapDistribution((10.0, 20.0, 30.0, 40.0), 25.0)
     assert boot.quantile(0.0) == 10.0
@@ -407,13 +462,16 @@ def test_bca_reduces_to_percentile_when_symmetric():
 
 
 def test_jackknife_acceleration_variants():
-    s = make_sample([1.0, 2.0, 3.0, 4.0])
-    # Squared variant: sum d^2 = 1, denominator 6 * 1^(3/2).
-    assert jackknife_acceleration(s, formula="squared") == pytest.approx(1.0 / 6.0)
-    with pytest.raises(ValueError):
-        jackknife_acceleration(s, formula="cube")
+    # Data {1,2,3,40,41}: leave-one-out medians (21.5, 21.5, 21, 2.5, 2.5),
+    # mean 13.8, deviations d = (-7.7, -7.7, -7.2, 11.3, 11.3), so
+    # sum d^3 = 1599.48 and sum d^2 = 425.8.
+    d = [Fraction(v) for v in ("-7.7", "-7.7", "-7.2", "11.3", "11.3")]
+    assert sum(x ** 3 for x in d) == Fraction("1599.48")
+    assert sum(x ** 2 for x in d) == Fraction("425.8")
     skew = make_sample([1.0, 2.0, 3.0, 40.0, 41.0])
-    assert jackknife_acceleration(skew) != 0.0
+    assert jackknife_acceleration(skew) == pytest.approx(1599.48 / (6.0 * 425.8 ** 1.5), rel=1e-13)
+    # Even n: the leave-one-out medians split m / m over two values, so a = 0.
+    assert jackknife_acceleration(make_sample([1.0, 2.0, 3.0, 10.0, 20.0, 30.0])) == 0.0
 
 
 def test_jackknife_acceleration_flat_medians():

@@ -196,6 +196,16 @@ def test_cr_unsupported_size_exits_without_jitter_hint(tmp_path, capsys):
     assert "jitter" not in err
 
 
+@pytest.mark.parametrize("n, method", [(1001, 3), (1001, 13), (1100, 13)])
+def test_cr_binomial_size_cap_exits_without_jitter_hint(tmp_path, capsys, n, method):
+    p = tmp_path / "big.txt"
+    p.write_text(" ".join(str(v) for v in range(n)))
+    assert main(["cr", "--input", str(p), "--methods", str(method)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(n) in err
+    assert "jitter" not in err
+
+
 def test_cr_jitter_resolves_ties(tmp_path, capsys):
     p = tmp_path / "tied.txt"
     p.write_text("1 1 2 3 4 5 6 7 8 9")
@@ -265,6 +275,14 @@ def test_simulate_stdout(capsys):
     out = capsys.readouterr().out
     assert out.startswith("method,dist,n,alpha,")
     assert len(out.strip().splitlines()) == 2
+
+
+def test_simulate_counts_binomial_size_cap_as_failures(capsys):
+    assert main(["simulate", "--dists", "normal", "--sizes", "1001", "--reps", "1",
+                 "--methods", "3", "--seed", "0", "--out", "-"]) == EXIT_OK
+    header, row = capsys.readouterr().out.strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["reps"] == fields["failures"] == "1"
 
 
 def test_simulate_rejects_unknown_distribution(capsys):

@@ -125,6 +125,20 @@ def test_binom_domain_errors():
         binom_quantile(1.5, 10)
 
 
+def test_binom_size_cap_is_unsupported_size():
+    # Above MAX_BINOM_N the tables are a size limit, not bad input.
+    for call in (binom_pmf, binom_cdf):
+        with pytest.raises(UnsupportedSizeError):
+            call(0, 1001)
+    with pytest.raises(UnsupportedSizeError):
+        binom_quantile(0.5, 1001)
+    # Below 1 and non-integers stay plain ValueErrors.
+    for call in (lambda: binom_cdf(0, 0), lambda: binom_cdf(0, 2.5)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert not isinstance(info.value, UnsupportedSizeError)
+
+
 # ---------------------------------------------------------------------------
 # Normal / Student-t quantiles
 # ---------------------------------------------------------------------------

@@ -135,6 +135,21 @@ def test_unsupported_size_is_a_per_replication_failure():
     assert 0.0 <= row3.coverage <= 1.0
 
 
+def test_binomial_size_cap_is_a_per_replication_failure():
+    # The binomial tables stop at n = 1000, so above it the sign region and
+    # the plug-in adaptive region fail every replication while the t
+    # interval still runs.  At n = 1100, C(n, n/2) no longer fits a float.
+    cfg = small_config(
+        distributions=(normal(),), sample_sizes=(1001, 1100), reps=2, methods=(1, 3, 13)
+    )
+    for row in run_simulation(cfg):
+        if row.method == 1:
+            assert row.failures == 0
+        else:
+            assert row.failures == 2
+            assert math.isnan(row.coverage)
+
+
 def test_coverage_and_content_recomputed_from_replicates():
     cfg = small_config(distributions=(normal(),), sample_sizes=(10,), reps=25,
                        methods=(1, 10))
