@@ -1,66 +1,18 @@
 """Confidence regions for the median of an unknown continuous error distribution.
 
-The package provides thirteen procedures behind one registry (``methods``),
-the randomized minimum-content construction (``optimal``), expected-spacing
-profiles (``spacings``), classical competitors (``classical``), exact
-distributional primitives (``distributions``), region algebra (``regions``),
-and a reproducible Monte Carlo harness (``simulate``).
+The package provides thirteen procedures behind one method table
+(``methods``), the randomized minimum-content construction (``optimal``),
+expected-spacing profiles (``spacings``), classical competitors
+(``classical``), exact distributional primitives (``distributions``), region
+algebra (``regions``), and a reproducible Monte Carlo harness (``simulate``).
+The top level exports the documented API; every other name is imported from
+its submodule.
 """
 
-from .classical import (
-    BootstrapDistribution,
-    bootstrap_medians,
-    cr_asymp_median,
-    cr_bootstrap,
-    cr_sign,
-    cr_t,
-    cr_wilcoxon,
-    jackknife_acceleration,
-    kde_at_median,
-)
-from .distributions import (
-    DistributionSpec,
-    RngStream,
-    binom_cdf,
-    binom_pmf,
-    binom_quantile,
-    cauchy,
-    exponential,
-    gamma,
-    logistic,
-    norm_quantile,
-    normal,
-    normal_mixture,
-    study_distributions,
-    sample,
-    signed_rank_null_cdf,
-    t_quantile,
-    uniform,
-    weibull,
-)
+from .classical import BootstrapDistribution
 from .errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from .methods import ALL_METHOD_IDS, METHODS, compute_region
-from .optimal import (
-    Gamma0Selection,
-    assemble_region,
-    conservative_region,
-    cr_adaptive_edf,
-    cr_adaptive_mom,
-    cr_exponential_focused,
-    cr_symmetric_focused,
-    select_gamma0,
-)
-from .regions import Interval, Region, SortedSample, make_sample, region_from_gamma0
-from .simulate import SimConfig, SimResult, replicate, results_to_csv, run_simulation
-from .spacings import (
-    LkProfile,
-    lk_edf,
-    lk_exponential,
-    lk_mom,
-    lk_numeric,
-    lk_numeric_profile,
-    lk_uniform,
-)
+from .regions import Interval, Region, SortedSample, make_sample
 
 __version__ = "0.1.0"
 
@@ -68,59 +20,12 @@ __all__ = [
     "ALL_METHOD_IDS",
     "BootstrapDistribution",
     "DegenerateDataError",
-    "DistributionSpec",
-    "Gamma0Selection",
     "InfeasibleLevelError",
     "Interval",
-    "LkProfile",
     "METHODS",
     "Region",
-    "RngStream",
-    "SimConfig",
-    "SimResult",
     "SortedSample",
     "UnsupportedSizeError",
-    "assemble_region",
-    "binom_cdf",
-    "binom_pmf",
-    "binom_quantile",
-    "bootstrap_medians",
-    "cauchy",
     "compute_region",
-    "conservative_region",
-    "cr_adaptive_edf",
-    "cr_adaptive_mom",
-    "cr_asymp_median",
-    "cr_bootstrap",
-    "cr_exponential_focused",
-    "cr_sign",
-    "cr_symmetric_focused",
-    "cr_t",
-    "cr_wilcoxon",
-    "exponential",
-    "gamma",
-    "jackknife_acceleration",
-    "kde_at_median",
-    "lk_edf",
-    "lk_exponential",
-    "lk_mom",
-    "lk_numeric",
-    "lk_numeric_profile",
-    "lk_uniform",
-    "logistic",
     "make_sample",
-    "norm_quantile",
-    "normal",
-    "normal_mixture",
-    "study_distributions",
-    "region_from_gamma0",
-    "replicate",
-    "results_to_csv",
-    "run_simulation",
-    "sample",
-    "select_gamma0",
-    "signed_rank_null_cdf",
-    "t_quantile",
-    "uniform",
-    "weibull",
 ]

@@ -6,8 +6,9 @@ Three subcommands:
 * ``simulate``  run the Monte Carlo grid and write a CSV
 * ``table``     print a selection table (ratios, masses, admitted counts)
 
-Exit codes: 0 success, 2 bad arguments, 3 unreadable or unusable data,
-4 requested level infeasible for a selected method.
+Exit codes: 0 success, 1 standard output closed by its reader, 2 bad
+arguments, 3 unreadable or unusable data, 4 requested level infeasible for a
+selected method.
 
 Output is a pure function of the arguments, the input file bytes, and the
 seed (``--seed``, else the MEDIANCR_SEED environment variable, else 0).
@@ -32,6 +33,7 @@ from .simulate import SimConfig, results_to_csv, run_simulation
 from .spacings import lk_exponential, lk_uniform
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
@@ -173,8 +175,8 @@ def _cmd_cr(args) -> int:
             "flags": flags,
         }
         if args.explain and info.randomized:
-            entry["explain"] = _explain_randomized(m, srt, args.alpha)
-        results.append(entry)
+            entry["explain"] = _explain_randomized(info, srt, args.alpha)
+        results.append((entry, region))
 
     if args.format == "json":
         doc = {
@@ -182,13 +184,13 @@ def _cmd_cr(args) -> int:
             "n": srt.n,
             "alpha": args.alpha,
             "seed": seed,
-            "results": results,
+            "results": [entry for entry, _ in results],
         }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, default=_region_payload))
     else:
         print("method,intervals,content,u,flags")
-        for r in results:
-            region_txt = ";".join(_region_tokens(r))
+        for r, region in results:
+            region_txt = ";".join(region.to_strings())
             u_txt = "" if r["u"] is None else f"{r['u']!r}"
             print(
                 f"{r['method']},{region_txt},{r['content']},{u_txt},{'|'.join(r['flags'])}"
@@ -198,38 +200,21 @@ def _cmd_cr(args) -> int:
                 print(f"# method {r['method']}: gamma={ex['gamma']!r} "
                       f"included={ex['included']} tie_set={ex['tie_set']}")
                 print(f"# method {r['method']}: if u<=gamma -> "
-                      f"{';'.join(_region_tokens(ex['if_u_le_gamma']))}")
+                      f"{';'.join(ex['if_u_le_gamma'].to_strings())}")
                 print(f"# method {r['method']}: if u>gamma  -> "
-                      f"{';'.join(_region_tokens(ex['if_u_gt_gamma']))}")
+                      f"{';'.join(ex['if_u_gt_gamma'].to_strings())}")
     return EXIT_OK
 
 
-def _region_tokens(entry: dict) -> list[str]:
-    toks = []
-    for iv in entry["intervals"]:
-        close = "]" if iv["closed_hi"] else ")"
-        toks.append(f"[{iv['lo']}:{iv['hi']}{close}")
-    return toks
-
-
-def _explain_randomized(method_id: int, srt, alpha: float) -> dict:
-    from .spacings import lk_edf, lk_mom
-
-    profile = {
-        10: lambda: lk_uniform(srt.n),
-        11: lambda: lk_exponential(srt.n),
-        12: lambda: lk_mom(srt),
-        13: lambda: lk_edf(srt),
-    }[method_id]()
-    sel = select_gamma0(profile, alpha)
-    narrow = region_from_gamma0(srt, sel.included)
-    wide = region_from_gamma0(srt, sel.included | sel.tie_set)
+def _explain_randomized(info, srt, alpha: float) -> dict:
+    """Both branches of a randomized region; JSON output writes each via _region_payload."""
+    sel = info.selection(srt, alpha)
     return {
         "included": sorted(sel.included),
         "tie_set": sorted(sel.tie_set),
         "gamma": sel.gamma,
-        "if_u_le_gamma": _region_payload(wide),
-        "if_u_gt_gamma": _region_payload(narrow),
+        "if_u_le_gamma": region_from_gamma0(srt, sel.included | sel.tie_set),
+        "if_u_gt_gamma": region_from_gamma0(srt, sel.included),
     }
 
 
@@ -348,10 +333,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`).  Point stdout at devnull so
+        # the flush at interpreter exit cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -61,9 +61,9 @@ __all__ = [
 MAX_BINOM_N = 1000
 MAX_SIGNED_RANK_N = 200
 
-# Smallest uniform admitted into transforms that blow up at 0.  Generator
-# .random() yields multiples of 2**-53 in [0, 1), so only u == 0.0 needs the
-# guard; the upper side is already bounded away from 1.
+# Smallest uniform fed to a quantile function, several of which blow up at 0.
+# Generator.random() yields multiples of 2**-53 in [0, 1), so only u == 0.0
+# needs the guard; the upper side is already bounded away from 1.
 _U_FLOOR = 2.0 ** -53
 
 
@@ -517,40 +517,15 @@ def sample(dist: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     """Draw ``n`` IID variates from ``dist`` via inverse transforms.
 
     Deterministic in (dist, n, rng): the same arguments always yield the same
-    array.  Each variate consumes one uniform, except the normal mixture which
-    consumes exactly two (component coin, then normal draw).
+    array.  Each variate is ``dist.quantile`` of one uniform, except the normal
+    mixture, which consumes exactly two (component coin, then normal draw).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = rng.generator()
-    f, p = dist.family, dist.params
-    if f == "normal_mixture":
-        w1, m1, s1, m2, s2 = p
+    if dist.family == "normal_mixture":
+        w1, m1, s1, m2, s2 = dist.params
         u = gen.random(2 * n)
-        coins = u[0::2]
         z = _special.ndtri(np.maximum(u[1::2], _U_FLOOR))
-        return np.where(coins < w1, m1 + s1 * z, m2 + s2 * z)
-    u = gen.random(n)
-    if f == "normal":
-        mu, sigma = p
-        return mu + sigma * _special.ndtri(np.maximum(u, _U_FLOOR))
-    if f == "cauchy":
-        x0, scale = p
-        return x0 + scale * np.tan(np.pi * (np.maximum(u, _U_FLOOR) - 0.5))
-    if f == "uniform":
-        a, b = p
-        return a + (b - a) * u
-    if f == "logistic":
-        mu, s = p
-        uu = np.maximum(u, _U_FLOOR)
-        return mu + s * (np.log(uu) - np.log1p(-uu))
-    if f == "gamma":
-        shape, rate = p
-        return _special.gammaincinv(shape, u) / rate
-    if f == "weibull":
-        shape, scale = p
-        return scale * (-np.log1p(-u)) ** (1.0 / shape)
-    if f == "exponential":
-        (rate,) = p
-        return -np.log1p(-u) / rate
-    raise ValueError(f"unknown family {f!r}")  # pragma: no cover
+        return np.where(u[0::2] < w1, m1 + s1 * z, m2 + s2 * z)
+    return dist.quantile(np.maximum(gen.random(n), _U_FLOOR))

@@ -1,4 +1,4 @@
-"""Registry mapping method ids 1..13 to region procedures.
+"""The method table: ids 1..13, their names, and how each region is built.
 
 The numbering is the one used throughout the CLI and the simulation output:
 
@@ -25,10 +25,12 @@ from .classical import (
     cr_wilcoxon,
 )
 from .optimal import (
-    cr_adaptive_edf,
-    cr_adaptive_mom,
-    cr_exponential_focused,
-    cr_symmetric_focused,
+    Gamma0Selection,
+    adaptive_edf_selection,
+    adaptive_mom_selection,
+    assemble_region,
+    exponential_selection,
+    symmetric_selection,
 )
 from .regions import Region, SortedSample
 
@@ -37,38 +39,58 @@ __all__ = ["MethodInfo", "METHODS", "ALL_METHOD_IDS", "compute_region", "parse_m
 
 @dataclass(frozen=True)
 class MethodInfo:
+    """One method: its id, its output name, and how its region is built.
+
+    ``region(sample, alpha, u, boot)`` builds the region.  A randomized method
+    also carries ``selection(sample, alpha)``, the count selection that its
+    region realizes for the draw u.  Every callable reaches its procedure
+    through a name looked up at call time, so rebinding that module attribute
+    (as a tracer or a test does) reaches every caller.
+    """
+
     method_id: int
     name: str
-    randomized: bool = False
-    needs_bootstrap: bool = False
+    region: Callable[[SortedSample, float, float | None, BootstrapDistribution | None], Region]
+    selection: Callable[[SortedSample, float], Gamma0Selection] | None = None
+    boot_variant: str | None = None
+
+    @property
+    def randomized(self) -> bool:
+        return self.selection is not None
+
+    @property
+    def needs_bootstrap(self) -> bool:
+        return self.boot_variant is not None
 
 
-METHODS: dict[int, MethodInfo] = {
-    1: MethodInfo(1, "t_interval"),
-    2: MethodInfo(2, "signed_rank"),
-    3: MethodInfo(3, "sign"),
-    4: MethodInfo(4, "asymp_median_kde"),
-    5: MethodInfo(5, "boot_basic", needs_bootstrap=True),
-    6: MethodInfo(6, "boot_se_t", needs_bootstrap=True),
-    7: MethodInfo(7, "boot_percentile", needs_bootstrap=True),
-    8: MethodInfo(8, "boot_bc", needs_bootstrap=True),
-    9: MethodInfo(9, "boot_bca", needs_bootstrap=True),
-    10: MethodInfo(10, "rand_uniform_profile", randomized=True),
-    11: MethodInfo(11, "rand_exponential_profile", randomized=True),
-    12: MethodInfo(12, "rand_adaptive_spacings", randomized=True),
-    13: MethodInfo(13, "rand_adaptive_plugin", randomized=True),
-}
+def _bootstrap(method_id: int, name: str, variant: str) -> MethodInfo:
+    return MethodInfo(method_id, name, lambda s, a, u, b: cr_bootstrap(s, a, b, variant),
+                      boot_variant=variant)
+
+
+def _randomized(method_id: int, name: str,
+                selection: Callable[[SortedSample, float], Gamma0Selection]) -> MethodInfo:
+    return MethodInfo(method_id, name, lambda s, a, u, b: assemble_region(s, selection(s, a), u),
+                      selection=selection)
+
+
+METHODS: dict[int, MethodInfo] = {info.method_id: info for info in (
+    MethodInfo(1, "t_interval", lambda s, a, u, b: cr_t(s, a)),
+    MethodInfo(2, "signed_rank", lambda s, a, u, b: cr_wilcoxon(s, a)),
+    MethodInfo(3, "sign", lambda s, a, u, b: cr_sign(s, a)),
+    MethodInfo(4, "asymp_median_kde", lambda s, a, u, b: cr_asymp_median(s, a)),
+    _bootstrap(5, "boot_basic", "basic"),
+    _bootstrap(6, "boot_se_t", "se"),
+    _bootstrap(7, "boot_percentile", "percentile"),
+    _bootstrap(8, "boot_bc", "bc"),
+    _bootstrap(9, "boot_bca", "bca"),
+    _randomized(10, "rand_uniform_profile", lambda s, a: symmetric_selection(s, a)),
+    _randomized(11, "rand_exponential_profile", lambda s, a: exponential_selection(s, a)),
+    _randomized(12, "rand_adaptive_spacings", lambda s, a: adaptive_mom_selection(s, a)),
+    _randomized(13, "rand_adaptive_plugin", lambda s, a: adaptive_edf_selection(s, a)),
+)}
 
 ALL_METHOD_IDS = tuple(sorted(METHODS))
-
-_BOOT_VARIANTS = {5: "basic", 6: "se", 7: "percentile", 8: "bc", 9: "bca"}
-
-_RANDOMIZED: dict[int, Callable[[SortedSample, float, float], Region]] = {
-    10: cr_symmetric_focused,
-    11: cr_exponential_focused,
-    12: cr_adaptive_mom,
-    13: cr_adaptive_edf,
-}
 
 
 def compute_region(
@@ -79,7 +101,7 @@ def compute_region(
     u: float | None = None,
     boot: BootstrapDistribution | None = None,
 ) -> Region:
-    """Dispatch to the procedure for ``method_id``.
+    """Build the region of ``method_id`` from its ``METHODS`` entry.
 
     Randomized methods (10..13) require ``u``; bootstrap methods (5..9)
     require ``boot``.  Supplying what a method does not need is harmless, so
@@ -88,21 +110,11 @@ def compute_region(
     if method_id not in METHODS:
         raise ValueError(f"unknown method id {method_id}; valid ids are 1..13")
     info = METHODS[method_id]
-    if info.randomized:
-        if u is None:
-            raise ValueError(f"method {method_id} is randomized and needs u")
-        return _RANDOMIZED[method_id](sample, alpha, u)
-    if info.needs_bootstrap:
-        if boot is None:
-            raise ValueError(f"method {method_id} needs a bootstrap distribution")
-        return cr_bootstrap(sample, alpha, boot, _BOOT_VARIANTS[method_id])
-    if method_id == 1:
-        return cr_t(sample, alpha)
-    if method_id == 2:
-        return cr_wilcoxon(sample, alpha)
-    if method_id == 3:
-        return cr_sign(sample, alpha)
-    return cr_asymp_median(sample, alpha)
+    if info.randomized and u is None:
+        raise ValueError(f"method {method_id} is randomized and needs u")
+    if info.needs_bootstrap and boot is None:
+        raise ValueError(f"method {method_id} needs a bootstrap distribution")
+    return info.region(sample, alpha, u, boot)
 
 
 def parse_method_ids(text: str) -> tuple[int, ...]:

@@ -42,6 +42,10 @@ __all__ = [
     "select_gamma0",
     "assemble_region",
     "conservative_region",
+    "symmetric_selection",
+    "exponential_selection",
+    "adaptive_mom_selection",
+    "adaptive_edf_selection",
     "cr_symmetric_focused",
     "cr_exponential_focused",
     "cr_adaptive_mom",
@@ -196,6 +200,30 @@ def _exponential_selection(n: int, alpha: float) -> Gamma0Selection:
     return select_gamma0(lk_exponential(n), alpha)
 
 
+def symmetric_selection(sample: SortedSample, alpha: float) -> Gamma0Selection:
+    """Selection under the uniform-shape profile; it depends on (n, alpha) alone."""
+    return _uniform_selection(sample.n, alpha)
+
+
+def exponential_selection(sample: SortedSample, alpha: float) -> Gamma0Selection:
+    """Selection under the exponential-shape profile; it depends on (n, alpha) alone."""
+    return _exponential_selection(sample.n, alpha)
+
+
+def adaptive_mom_selection(sample: SortedSample, alpha: float) -> Gamma0Selection:
+    """Selection under the observed-spacings profile.  Requires n >= 3."""
+    if sample.n < 3:
+        raise ValueError(f"need n >= 3, got {sample.n}")
+    return select_gamma0(lk_mom(sample), alpha)
+
+
+def adaptive_edf_selection(sample: SortedSample, alpha: float) -> Gamma0Selection:
+    """Selection under the empirical-CDF plug-in profile.  Requires n >= 3."""
+    if sample.n < 3:
+        raise ValueError(f"need n >= 3, got {sample.n}")
+    return select_gamma0(lk_edf(sample), alpha)
+
+
 def cr_symmetric_focused(sample: SortedSample, alpha: float, u: float) -> Region:
     """Randomized region tuned to flat spacing profiles (uniform shape).
 
@@ -203,12 +231,12 @@ def cr_symmetric_focused(sample: SortedSample, alpha: float, u: float) -> Region
     coefficients, so counts enter symmetrically from the center outward and
     the realized region is one interval between mirrored order statistics.
     """
-    return assemble_region(sample, _uniform_selection(sample.n, alpha), u)
+    return assemble_region(sample, symmetric_selection(sample, alpha), u)
 
 
 def cr_exponential_focused(sample: SortedSample, alpha: float, u: float) -> Region:
     """Randomized region tuned to exponential-shape spacing profiles."""
-    return assemble_region(sample, _exponential_selection(sample.n, alpha), u)
+    return assemble_region(sample, exponential_selection(sample, alpha), u)
 
 
 def cr_adaptive_mom(sample: SortedSample, alpha: float, u: float) -> Region:
@@ -218,9 +246,7 @@ def cr_adaptive_mom(sample: SortedSample, alpha: float, u: float) -> Region:
     P{1 <= B <= n - 1} = 1 - 2^(1-n); levels beyond that raise
     InfeasibleLevelError.  Requires n >= 3 and untied observations.
     """
-    if sample.n < 3:
-        raise ValueError(f"need n >= 3, got {sample.n}")
-    return assemble_region(sample, select_gamma0(lk_mom(sample), alpha), u)
+    return assemble_region(sample, adaptive_mom_selection(sample, alpha), u)
 
 
 def cr_adaptive_edf(sample: SortedSample, alpha: float, u: float) -> Region:
@@ -229,6 +255,4 @@ def cr_adaptive_edf(sample: SortedSample, alpha: float, u: float) -> Region:
     All estimated spacings are finite, so boundary counts may be admitted and
     the realized region can be unbounded.  Requires n >= 3.
     """
-    if sample.n < 3:
-        raise ValueError(f"need n >= 3, got {sample.n}")
-    return assemble_region(sample, select_gamma0(lk_edf(sample), alpha), u)
+    return assemble_region(sample, adaptive_edf_selection(sample, alpha), u)

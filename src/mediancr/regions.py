@@ -88,8 +88,9 @@ class Interval:
         return self.hi - self.lo
 
     def token(self) -> str:
+        """``[lo:hi)`` or ``[lo:hi]``; the colon keeps the token one CSV field."""
         close = "]" if self.closed_hi else ")"
-        return f"[{_fmt_endpoint(self.lo)},{_fmt_endpoint(self.hi)}{close}"
+        return f"[{_fmt_endpoint(self.lo)}:{_fmt_endpoint(self.hi)}{close}"
 
 
 def _fmt_endpoint(x: float) -> str:
@@ -97,7 +98,7 @@ def _fmt_endpoint(x: float) -> str:
         return "-inf"
     if x == math.inf:
         return "inf"
-    return repr(x)
+    return repr(float(x))
 
 
 def _parse_endpoint(tok: str) -> float:
@@ -155,7 +156,7 @@ def region_from_strings(tokens: Sequence[str]) -> Region:
         if not (tok.startswith("[") and tok[-1] in ")]"):
             raise ValueError(f"malformed interval token {tok!r}")
         closed = tok[-1] == "]"
-        lo_s, hi_s = tok[1:-1].split(",")
+        lo_s, hi_s = tok[1:-1].split(":")
         ivs.append(Interval(_parse_endpoint(lo_s), _parse_endpoint(hi_s), closed))
     return Region(tuple(ivs))
 

@@ -93,13 +93,16 @@ def test_wilcoxon_infeasible_level():
     assert ei.value.attainable == pytest.approx(1.0 - 2.0 ** -3)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_wilcoxon_walsh_overflow_raises():
-    # x_i + x_j overflows to inf near the top of the float range; the window
-    # would be wrong, so the procedure refuses rather than return it.
+def test_wilcoxon_window_near_float_max():
+    # x_i + x_j overflows near the top of the float range, but every Walsh
+    # average is finite: the window ends are the exact Walsh order statistics,
+    # each rounded once.
     data = [1.7e308 * (1 - i / 100) for i in range(10)]
-    with pytest.raises(ValueError, match="overflow"):
-        cr_wilcoxon(make_sample(data), 0.05)
+    walsh = sorted((Fraction(a) + Fraction(b)) / 2 for i, a in enumerate(data) for b in data[i:])
+    k1, k2 = signed_rank_scan_window(signed_rank_cdf_table(10), 0.05)
+    expected = window([float(w) for w in walsh], k1, k2)
+    assert expected and all(math.isfinite(v) for iv in expected for v in (iv.lo, iv.hi))
+    assert cr_wilcoxon(make_sample(data), 0.05).intervals == expected
 
 
 def test_wilcoxon_region_is_within_walsh_range_and_covers_median():

@@ -2,13 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mediancr
 from mediancr.cli import (
     EXIT_DATA,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     main,
 )
@@ -137,6 +143,22 @@ def test_cr_explain_csv(datafile, capsys):
     out = capsys.readouterr().out
     assert "# method 10: gamma=" in out
     assert "if u<=gamma" in out and "if u>gamma" in out
+
+
+def test_cr_closed_stdout_exits_quietly(datafile):
+    # The reader closes the pipe before the command writes, as `cr | head -c 5`
+    # can; the command must exit nonzero without a traceback.
+    src = str(Path(mediancr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mediancr.cli", "cr", "--input", datafile, "--methods", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == EXIT_PIPE
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_cr_explain_json(datafile, capsys):

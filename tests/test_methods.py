@@ -1,8 +1,19 @@
-"""Method registry and dispatch."""
+"""Method table and compute_region."""
+
+import math
 
 import pytest
 
-from mediancr.classical import bootstrap_medians, cr_sign, cr_t
+from mediancr import methods
+from mediancr.classical import (
+    bootstrap_medians,
+    cr_asymp_median,
+    cr_bootstrap,
+    cr_sign,
+    cr_t,
+    cr_wilcoxon,
+)
+from mediancr.cli import _explain_randomized
 from mediancr.distributions import RngStream, normal, sample
 from mediancr.methods import (
     ALL_METHOD_IDS,
@@ -10,8 +21,40 @@ from mediancr.methods import (
     compute_region,
     parse_method_ids,
 )
-from mediancr.optimal import cr_symmetric_focused
+from mediancr.optimal import (
+    cr_adaptive_edf,
+    cr_adaptive_mom,
+    cr_exponential_focused,
+    cr_symmetric_focused,
+)
 from mediancr.regions import make_sample
+
+ALPHA = 0.05
+
+# The per-method API each id must reproduce, as (sample, alpha, u, boot).
+DIRECT = {
+    1: lambda s, a, u, b: cr_t(s, a),
+    2: lambda s, a, u, b: cr_wilcoxon(s, a),
+    3: lambda s, a, u, b: cr_sign(s, a),
+    4: lambda s, a, u, b: cr_asymp_median(s, a),
+    5: lambda s, a, u, b: cr_bootstrap(s, a, b, "basic"),
+    6: lambda s, a, u, b: cr_bootstrap(s, a, b, "se"),
+    7: lambda s, a, u, b: cr_bootstrap(s, a, b, "percentile"),
+    8: lambda s, a, u, b: cr_bootstrap(s, a, b, "bc"),
+    9: lambda s, a, u, b: cr_bootstrap(s, a, b, "bca"),
+    10: lambda s, a, u, b: cr_symmetric_focused(s, a, u),
+    11: lambda s, a, u, b: cr_exponential_focused(s, a, u),
+    12: lambda s, a, u, b: cr_adaptive_mom(s, a, u),
+    13: lambda s, a, u, b: cr_adaptive_edf(s, a, u),
+}
+
+# The module-global name through which the table reaches each method.
+PROCEDURE = {
+    1: "cr_t", 2: "cr_wilcoxon", 3: "cr_sign", 4: "cr_asymp_median",
+    5: "cr_bootstrap", 6: "cr_bootstrap", 7: "cr_bootstrap", 8: "cr_bootstrap", 9: "cr_bootstrap",
+    10: "symmetric_selection", 11: "exponential_selection",
+    12: "adaptive_mom_selection", 13: "adaptive_edf_selection",
+}
 
 
 def test_registry_shape():
@@ -30,9 +73,42 @@ def fixture_sample():
 
 def test_dispatch_matches_direct_calls():
     s = fixture_sample()
-    assert compute_region(1, s, 0.05) == cr_t(s, 0.05)
-    assert compute_region(3, s, 0.05) == cr_sign(s, 0.05)
-    assert compute_region(10, s, 0.05, u=0.3) == cr_symmetric_focused(s, 0.05, 0.3)
+    boot = bootstrap_medians(s, 300, RngStream(6, ("disp", "boot")))
+    for m in ALL_METHOD_IDS:
+        for u in (0.05, 0.95):
+            assert compute_region(m, s, ALPHA, u=u, boot=boot) == DIRECT[m](s, ALPHA, u, boot), (m, u)
+
+
+def test_explain_branches_are_the_two_realized_regions():
+    s = fixture_sample()
+    for m in (10, 11, 12, 13):
+        ex = _explain_randomized(METHODS[m], s, ALPHA)
+        gamma = ex["gamma"]
+        assert ex["if_u_le_gamma"] == DIRECT[m](s, ALPHA, gamma, None), m
+        assert ex["if_u_gt_gamma"] == DIRECT[m](s, ALPHA, math.nextafter(gamma, 1.0), None), m
+        assert ex["if_u_le_gamma"] != ex["if_u_gt_gamma"], m
+
+
+@pytest.mark.parametrize("method_id", ALL_METHOD_IDS)
+def test_table_looks_procedures_up_at_call_time(method_id, monkeypatch):
+    # Tracing rebinds module attributes, so the table must not hold on to
+    # the function objects it was built with.
+    name = PROCEDURE[method_id]
+    original = getattr(methods, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(methods, name, patched)
+    s = fixture_sample()
+    boot = bootstrap_medians(s, 50, RngStream(6, ("disp", "late")))
+    assert compute_region(method_id, s, ALPHA, u=0.5, boot=boot) == DIRECT[method_id](s, ALPHA, 0.5, boot)
+    assert calls == [name]
+    if METHODS[method_id].randomized:
+        _explain_randomized(METHODS[method_id], s, ALPHA)
+        assert calls == [name, name]
 
 
 def test_dispatch_bootstrap_variants_share_resamples():

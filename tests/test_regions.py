@@ -82,7 +82,7 @@ def test_region_shift():
 def test_serialization_round_trip():
     r = Region((Interval(-math.inf, -1.5), Interval(0.1, 2.0, closed_hi=True)))
     toks = r.to_strings()
-    assert toks == ["[-inf,-1.5)", "[0.1,2.0]"]
+    assert toks == ["[-inf:-1.5)", "[0.1:2.0]"]
     assert region_from_strings(toks) == r
     with pytest.raises(ValueError):
         region_from_strings(["(0,1)"])
