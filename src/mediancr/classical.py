@@ -81,27 +81,21 @@ def cr_t(sample: SortedSample, alpha: float) -> Region:
 
 
 @lru_cache(maxsize=None)
-def _count_cutoffs(cdf, n: int, top: int, alpha: float) -> tuple[int, int]:
-    """Cutoffs (k1, k2) of the nondecreasing null CDF ``cdf(w, n)`` on 0..top.
+def _lower_cutoff(cdf, n: int, top: int, alpha: float) -> int:
+    """Largest w in 0..top with cdf(w, n) <= alpha/2, or -1 when there is none.
 
-    k1 is the largest w with cdf(w, n) <= alpha/2 (-1 when there is none) and
-    k2 the smallest w with cdf(w, n) >= 1 - alpha/2 (top when rounding leaves
-    even cdf(top, n) below that level; exactly, it is 1).  Both sets are runs at the ends of 0..top, so bisection finds them; they
-    depend on (n, alpha) alone, so each pair is searched once per process.
+    The null law is symmetric, so 1 - CDF(w) = CDF(top - 1 - w) exactly and the
+    upper cutoff is top - 1 - k1.  Searched once per (n, alpha) by bisection.
     """
-    ws = range(top + 1)
-    k1 = bisect.bisect_left(ws, True, key=lambda w: cdf(w, n) > alpha / 2.0) - 1
-    k2 = bisect.bisect_left(ws, True, key=lambda w: cdf(w, n) >= 1.0 - alpha / 2.0)
-    return k1, min(k2, top)
+    return bisect.bisect_left(range(top + 1), True, key=lambda w: cdf(w, n) > alpha / 2.0) - 1
 
 
 def cr_wilcoxon(sample: SortedSample, alpha: float) -> Region:
     """Signed-rank region: a half-open window of ordered Walsh averages.
 
     With N = n(n+1)/2 Walsh averages W_(1) <= ... <= W_(N) and the exact null
-    CDF of the signed-rank statistic, the region is [W_(k1+1), W_(k2+1)) where
-    k1 is the largest w with CDF(w) <= alpha/2 and k2 the smallest w with
-    CDF(w) >= 1 - alpha/2; W_(N+1) = +inf, and a window of zero width is
+    CDF of the signed-rank statistic, the region is [W_(k1+1), W_(N-k1)) where
+    k1 is the largest w with CDF(w) <= alpha/2; a window of zero width is
     empty.  Levels beyond 1 - 2^(1-n) are infeasible.
     """
     _check_alpha(alpha)
@@ -115,31 +109,32 @@ def cr_wilcoxon(sample: SortedSample, alpha: float) -> Region:
             detail="signed-rank window undefined at this level",
         )
     top = n * (n + 1) // 2
-    k1, k2 = _count_cutoffs(signed_rank_null_cdf, n, top, alpha)
+    # CDF(0) = 2^-n <= alpha/2 here, so k1 >= 0 and k2 < top: both ends are Walsh averages.
+    k1 = _lower_cutoff(signed_rank_null_cdf, n, top, alpha)
+    k2 = top - 1 - k1
     # Halving first cannot overflow, and gives the same floats as (x_i + x_j) / 2
     # for all data but subnormals.
     half = sample.as_array() * 0.5
     i, j = np.triu_indices(n)
     walsh = half[i] + half[j]
     # Only the two window ends are needed, not the whole sorted Walsh sample.
-    walsh = np.partition(walsh, (k1, k2) if k2 < top else k1)
+    walsh = np.partition(walsh, (k1, k2))
     lo = float(walsh[k1])
-    hi = float(walsh[k2]) if k2 < top else math.inf
+    hi = float(walsh[k2])
     return Region((Interval(lo, hi),)) if lo < hi else Region()
 
 
 def cr_sign(sample: SortedSample, alpha: float) -> Region:
     """Exact count-based region between mirrored order statistics.
 
-    [x_(k1+1), x_(k2+1)) with k1 the largest count whose binomial CDF is at
-    most alpha/2 (k1 = -1 when none, opening the region at -inf) and k2 the
-    smallest count with CDF at least 1 - alpha/2 (k2 = n closes at +inf).
-    Never infeasible; small n simply yields unbounded regions.
+    [x_(k1+1), x_(n-k1)) with k1 the largest count whose binomial CDF is at
+    most alpha/2 (k1 = -1 when none, opening the region at -inf and closing
+    it at +inf).  Never infeasible; small n simply yields unbounded regions.
     """
     _check_alpha(alpha)
     n = sample.n
-    k1, k2 = _count_cutoffs(binom_cdf, n, n, alpha)
-    return region_from_gamma0(sample, range(k1 + 1, k2 + 1))
+    k1 = _lower_cutoff(binom_cdf, n, n, alpha)
+    return region_from_gamma0(sample, range(k1 + 1, n - k1))
 
 
 def kde_at_median(sample: SortedSample) -> float:
@@ -206,9 +201,9 @@ def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> Boots
     # int32 draws the same integers as the default int64 and sorts faster.
     idx = np.sort(rng.generator().integers(0, n, size=(breps, n), dtype=np.int32), axis=1)
     mid = n // 2
-    med = arr[idx[:, mid]] if n % 2 else (arr[idx[:, mid - 1]] + arr[idx[:, mid]]) / 2.0
-    # + 0.0 turns -0.0 into 0.0, as np.median does.
-    return BootstrapDistribution(tuple(np.sort(med + 0.0).tolist()), sample.median)
+    # Summed from +0.0 as np.median does: -0.0 data give 0.0, an underflowed mean -0.0.
+    med = 0.0 + arr[idx[:, mid]] if n % 2 else ((0.0 + arr[idx[:, mid - 1]]) + arr[idx[:, mid]]) / 2.0
+    return BootstrapDistribution(tuple(np.sort(med).tolist()), sample.median)
 
 
 def jackknife_acceleration(sample: SortedSample) -> float:

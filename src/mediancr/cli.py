@@ -27,7 +27,7 @@ from .classical import bootstrap_medians
 from .distributions import RngStream, binom_pmf_fraction, exponential, study_distributions
 from .errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from .methods import METHODS, compute_region, parse_method_ids
-from .optimal import select_gamma0
+from .optimal import assemble_region, select_gamma0
 from .regions import make_sample, region_from_gamma0
 from .simulate import SimConfig, results_to_csv, run_simulation
 from .spacings import lk_exponential, lk_uniform
@@ -148,10 +148,16 @@ def _cmd_cr(args) -> int:
         info = METHODS[m]
         u = RngStream(seed, ("cr", m)).uniform() if info.randomized else None
         flags = list(flags_global)
+        sel = None
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                region = compute_region(m, srt, args.alpha, u=u, boot=boot)
+                if args.explain and info.randomized:
+                    # Build the selection once; the explanation shows both of its branches.
+                    sel = info.selection(srt, args.alpha)
+                    region = assemble_region(srt, sel, u)
+                else:
+                    region = compute_region(m, srt, args.alpha, u=u, boot=boot)
             flags.extend(sorted({w.category.__name__ for w in caught}))
         except InfeasibleLevelError as exc:
             print(f"error: method {m} ({info.name}): {exc}", file=sys.stderr)
@@ -174,8 +180,8 @@ def _cmd_cr(args) -> int:
             "u": u,
             "flags": flags,
         }
-        if args.explain and info.randomized:
-            entry["explain"] = _explain_randomized(info, srt, args.alpha)
+        if sel is not None:
+            entry["explain"] = _explain_randomized(sel, srt)
         results.append((entry, region))
 
     if args.format == "json":
@@ -206,9 +212,8 @@ def _cmd_cr(args) -> int:
     return EXIT_OK
 
 
-def _explain_randomized(info, srt, alpha: float) -> dict:
+def _explain_randomized(sel, srt) -> dict:
     """Both branches of a randomized region; JSON output writes each via _region_payload."""
-    sel = info.selection(srt, alpha)
     return {
         "included": sorted(sel.included),
         "tie_set": sorted(sel.tie_set),

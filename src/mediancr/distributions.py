@@ -43,7 +43,6 @@ __all__ = [
     "norm_quantile",
     "t_quantile",
     "signed_rank_null_cdf",
-    "signed_rank_null_pmf",
     "DistributionSpec",
     "normal",
     "cauchy",
@@ -180,35 +179,27 @@ def t_quantile(p: float, df: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
-def _signed_rank_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Convolve the independent terms j * Bernoulli(1/2), j = 1..n, directly in
-    # probability space; doubles keep the total mass within ~1e-12 of 1.
-    size = n * (n + 1) // 2 + 1
-    pmf = np.zeros(size)
-    pmf[0] = 1.0
+@lru_cache(maxsize=None)
+def _signed_rank_prefix(n: int) -> tuple[int, ...]:
+    # 2**n * P{W+ <= w} for w = 0..top//2 (the law is symmetric, so half suffices):
+    # prefix sums of the coefficients of prod_j (1 + x**j), built in one int with a
+    # byte-aligned field per coefficient.  Counts are below 2**n, so fields never carry.
+    width, fields = n // 8 + 1, n * (n + 1) // 4 + 1
+    mask = (1 << (8 * width * fields)) - 1
+    poly = 1
     for j in range(1, n + 1):
-        nxt = 0.5 * pmf
-        nxt[j:] += 0.5 * pmf[:-j]
-        pmf = nxt
-    cdf = np.cumsum(pmf)
-    pmf.setflags(write=False)
-    cdf.setflags(write=False)
-    return pmf, cdf
-
-def signed_rank_null_pmf(n: int) -> np.ndarray:
-    """Exact null pmf of the signed-rank statistic on 0..n(n+1)/2."""
-    if not 1 <= n <= MAX_SIGNED_RANK_N:
-        raise UnsupportedSizeError(
-            f"signed-rank null distribution supported for n in 1..{MAX_SIGNED_RANK_N}, got {n}"
-        )
-    return _signed_rank_tables(n)[0]
+        poly = (poly + (poly << (8 * width * j))) & mask
+    raw = poly.to_bytes(width * fields, "little")
+    return tuple(accumulate(int.from_bytes(raw[i:i + width], "little")
+                            for i in range(0, len(raw), width)))
 
 
 def signed_rank_null_cdf(w: int, n: int) -> float:
     """P{W+ <= w} under the symmetric null, W+ the signed-rank statistic.
 
-    Supported for n up to 200; beyond that raises UnsupportedSizeError.
+    The value is the correctly rounded float of the exact dyadic rational
+    (number of sign patterns with W+ <= w) / 2**n.  Supported for n up to
+    200; beyond that raises UnsupportedSizeError.
     """
     if not 1 <= n <= MAX_SIGNED_RANK_N:
         raise UnsupportedSizeError(
@@ -217,7 +208,11 @@ def signed_rank_null_cdf(w: int, n: int) -> float:
     top = n * (n + 1) // 2
     if not 0 <= w <= top:
         raise ValueError(f"w must be in 0..{top}, got {w}")
-    return float(_signed_rank_tables(n)[1][w])
+    prefix = _signed_rank_prefix(n)
+    if w < len(prefix):
+        return prefix[w] / (1 << n)
+    # Symmetry W+ ~ top - W+ gives P{W+ <= w} = 1 - P{W+ <= top - 1 - w}.
+    return ((1 << n) - (prefix[top - 1 - w] if w < top else 0)) / (1 << n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mediancr.classical import (
@@ -175,7 +175,7 @@ def test_sign_region_exact_coverage_at_least_nominal(alpha):
 # Cutoff search against the linear scans of the coverage tests
 # ---------------------------------------------------------------------------
 
-CUTOFF_ALPHAS = (0.01, 0.05, 0.1, 0.5)
+CUTOFF_ALPHAS = (0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 2.0 ** -10)
 
 
 def exact_binom_cdf(n):
@@ -355,6 +355,8 @@ def samples(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(s=samples(), breps=st.integers(1, 40), seed=st.integers(0, 2**32))
+# An even-n mean that underflows to -0.0, which np.median keeps.
+@example(s=make_sample([-1.0] * 53 + [-5e-324] + [0.0] * 60), breps=2, seed=0)
 def test_bootstrap_medians_equal_numpy_median(s, breps, seed):
     # Oracle: np.median of the gathered resamples on the same default (int64) draw.
     rng = RngStream(seed, ("boot",))

@@ -145,6 +145,22 @@ def test_cr_explain_csv(datafile, capsys):
     assert "if u<=gamma" in out and "if u>gamma" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cr_explain_builds_the_selection_once(datafile, capsys, monkeypatch, fmt):
+    calls = []
+    real = mediancr.optimal.lk_edf
+
+    def counted(sample):
+        calls.append(sample.n)
+        return real(sample)
+
+    monkeypatch.setattr(mediancr.optimal, "lk_edf", counted)
+    assert main(["cr", "--input", datafile, "--methods", "13", "--seed", "1",
+                 "--format", fmt, "--explain"]) == EXIT_OK
+    assert "gamma" in capsys.readouterr().out
+    assert calls == [len(DATA)]
+
+
 def test_cr_closed_stdout_exits_quietly(datafile):
     # The reader closes the pipe before the command writes, as `cr | head -c 5`
     # can; the command must exit nonzero without a traceback.

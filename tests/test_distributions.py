@@ -24,7 +24,6 @@ from mediancr.distributions import (
     study_distributions,
     sample,
     signed_rank_null_cdf,
-    signed_rank_null_pmf,
     t_quantile,
     uniform,
     weibull,
@@ -220,22 +219,40 @@ def test_t_quantile_domain():
 # ---------------------------------------------------------------------------
 
 
-def brute_signed_rank_pmf(n):
-    """Oracle: enumerate all 2^n sign patterns."""
+def brute_signed_rank_counts(n):
+    """Oracle: #{sign patterns with W+ = w}, enumerating all 2^n patterns."""
     top = n * (n + 1) // 2
     counts = [0] * (top + 1)
     for mask in range(1 << n):
         w = sum(j for j in range(1, n + 1) if mask & (1 << (j - 1)))
         counts[w] += 1
-    return [c / 2.0 ** n for c in counts]
+    return counts
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11])
-def test_signed_rank_pmf_matches_enumeration(n):
-    oracle = brute_signed_rank_pmf(n)
-    got = signed_rank_null_pmf(n)
-    assert got.shape == (len(oracle),)
-    np.testing.assert_allclose(got, oracle, atol=1e-12)
+def dp_signed_rank_counts(n):
+    """Oracle: the coefficients of prod_j (1 + x^j), one Python int per degree."""
+    counts = [1]
+    for j in range(1, n + 1):
+        nxt = counts + [0] * j
+        for w, c in enumerate(counts):
+            nxt[w + j] += c
+        counts = nxt
+    return counts
+
+
+def assert_cdf_is_rounded_prefix(counts, n):
+    # Every prefix, the upper half included, against the exact rational
+    # rounded once; the last prefix is the total mass 2^n.
+    assert sum(counts) == 2 ** n
+    acc = 0
+    for w, c in enumerate(counts):
+        acc += c
+        assert signed_rank_null_cdf(w, n) == float(Fraction(acc, 2 ** n)), (n, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11, 12])
+def test_signed_rank_cdf_matches_enumeration(n):
+    assert_cdf_is_rounded_prefix(brute_signed_rank_counts(n), n)
 
 
 def test_signed_rank_cdf_examples():
@@ -245,9 +262,14 @@ def test_signed_rank_cdf_examples():
 
 
 def test_signed_rank_large_n_mass_and_symmetry():
-    pmf = signed_rank_null_pmf(200)
-    assert abs(pmf.sum() - 1.0) <= 1e-10
-    np.testing.assert_allclose(pmf, pmf[::-1], atol=1e-12)
+    # The oracle builds every coefficient, so the mirrored upper half of the
+    # CDF is checked against counts that do not assume symmetry.
+    for n in (56, 100, 200):
+        assert_cdf_is_rounded_prefix(dp_signed_rank_counts(n), n)
+
+
+def test_signed_rank_cdf_is_one_at_top():
+    assert all(signed_rank_null_cdf(n * (n + 1) // 2, n) == 1.0 for n in range(1, 201))
 
 
 def test_signed_rank_capability_bound():

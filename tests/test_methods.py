@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mediancr import methods
 from mediancr.classical import (
@@ -27,7 +30,7 @@ from mediancr.optimal import (
     cr_exponential_focused,
     cr_symmetric_focused,
 )
-from mediancr.regions import make_sample
+from mediancr.regions import Interval, Region, make_sample
 
 ALPHA = 0.05
 
@@ -82,7 +85,7 @@ def test_dispatch_matches_direct_calls():
 def test_explain_branches_are_the_two_realized_regions():
     s = fixture_sample()
     for m in (10, 11, 12, 13):
-        ex = _explain_randomized(METHODS[m], s, ALPHA)
+        ex = _explain_randomized(METHODS[m].selection(s, ALPHA), s)
         gamma = ex["gamma"]
         assert ex["if_u_le_gamma"] == DIRECT[m](s, ALPHA, gamma, None), m
         assert ex["if_u_gt_gamma"] == DIRECT[m](s, ALPHA, math.nextafter(gamma, 1.0), None), m
@@ -107,8 +110,52 @@ def test_table_looks_procedures_up_at_call_time(method_id, monkeypatch):
     assert compute_region(method_id, s, ALPHA, u=0.5, boot=boot) == DIRECT[method_id](s, ALPHA, 0.5, boot)
     assert calls == [name]
     if METHODS[method_id].randomized:
-        _explain_randomized(METHODS[method_id], s, ALPHA)
+        METHODS[method_id].selection(s, ALPHA)
         assert calls == [name, name]
+
+
+def mapped(region, g):
+    """``region`` with every finite endpoint sent through g; -inf and +inf stay put."""
+    f = lambda v: v if math.isinf(v) else float(g(v))
+    return Region(tuple(Interval(f(iv.lo), f(iv.hi), iv.closed_hi) for iv in region.intervals))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.lists(st.integers(-1000, 1000), min_size=8, max_size=60),
+    k=st.integers(-4, 4),
+    c=st.integers(-1000, 1000),
+    alpha=st.floats(0.01, 0.99),
+)
+def test_rank_methods_equivariant_under_dyadic_affine_maps(data, k, c, alpha):
+    # Integer data, a power-of-two scale and an integer shift keep every
+    # order statistic and Walsh average exact, so the map commutes with the
+    # region exactly.
+    scale = 2.0 ** k
+    s = make_sample([float(v) for v in data])
+    t = make_sample([scale * v + c for v in data])
+    for m in (2, 3):
+        expected = mapped(compute_region(m, s, alpha), lambda v: scale * v + c)
+        assert compute_region(m, t, alpha) == expected, m
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.lists(st.floats(-30.0, 30.0), min_size=8, max_size=60, unique=True),
+    g=st.sampled_from([np.exp, np.sinh, np.cbrt]),
+    alpha=st.floats(0.01, 0.99),
+    u=st.floats(0.0, 1.0),
+)
+def test_count_methods_equivariant_under_increasing_maps(data, g, alpha, u):
+    # The sign region and the (n, alpha)-only randomized regions are unions of
+    # order-statistic spacings, so a strictly increasing map that keeps the
+    # values distinct carries each region onto the region of the mapped data.
+    # From n = 8 on every alpha >= 0.01 is attainable by methods 10 and 11.
+    gx = [float(g(v)) for v in data]
+    assume(len(set(gx)) == len(gx))
+    s, t = make_sample(data), make_sample(gx)
+    for m in (3, 10, 11):
+        assert compute_region(m, t, alpha, u=u) == mapped(compute_region(m, s, alpha, u=u), g), m
 
 
 def test_dispatch_bootstrap_variants_share_resamples():
