@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 from scipy import integrate as _integrate
 
 from .distributions import DistributionSpec, binom_counts, binom_pmf
@@ -84,7 +85,13 @@ class LkProfile:
             raise ValueError("spacings and ratios must be nonnegative")
 
 
+@lru_cache(maxsize=None)
+def _binom_pmfs(n: int) -> tuple[float, ...]:
+    return tuple(binom_pmf(k, n) for k in range(n + 1))
+
+
 def _ratios_from_l(n: int, l: tuple[float, ...]) -> tuple[float, ...]:
+    pmf = _binom_pmfs(n)
     out = []
     for k, lk in enumerate(l):
         if math.isinf(lk):
@@ -92,7 +99,7 @@ def _ratios_from_l(n: int, l: tuple[float, ...]) -> tuple[float, ...]:
         elif lk == 0.0:
             out.append(math.inf)
         else:
-            out.append(binom_pmf(k, n) / lk)
+            out.append(pmf[k] / lk)
     return tuple(out)
 
 
@@ -167,16 +174,33 @@ def lk_edf(sample: SortedSample) -> LkProfile:
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
     counts = binom_counts(n)
+    w = _edf_weights(n)
     vals = sample.values
-    l = []
-    for k in range(n + 1):
-        acc = 0.0
-        for i in range(2, n + 1):
-            p = (i - 1) / n
-            acc += (1.0 - p) ** (n - k) * p ** k * (vals[i - 1] - vals[i - 2])
-        l.append(counts[k] * acc)
-    l = tuple(l)
+    # Summed gap by gap, so every l_hat(k) adds the same products in the
+    # same order as the formula read left to right.
+    acc = np.zeros(n + 1)
+    for i in range(2, n + 1):
+        acc += w[i - 2] * (vals[i - 1] - vals[i - 2])
+    l = tuple(c * a for c, a in zip(counts, acc.tolist()))
     return LkProfile(n, l, _ratios_from_l(n, l))
+
+
+# Each table is (n - 1) x (n + 1) doubles, 8 MB at n = 1000, so only the
+# sizes of a typical study grid are kept.
+@lru_cache(maxsize=16)
+def _edf_weights(n: int) -> np.ndarray:
+    """Read-only weights of lk_edf: row i - 2 holds (1 - p)^(n-k) p^k, p = (i-1)/n.
+
+    Evaluated with Python's pow, which np.power does not always match, so
+    each weight is the float the scalar formula gives.
+    """
+    w = np.empty((n - 1, n + 1))
+    for i in range(2, n + 1):
+        p = (i - 1) / n
+        q = 1.0 - p
+        w[i - 2] = [q ** (n - k) * p ** k for k in range(n + 1)]
+    w.flags.writeable = False
+    return w
 
 
 # -- numeric profile ---------------------------------------------------------

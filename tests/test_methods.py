@@ -195,3 +195,29 @@ def test_parse_method_ids():
         parse_method_ids("1,twelve")
     with pytest.raises(ValueError):
         parse_method_ids(",")
+
+
+# Values that stay normal floats, gaps included, after scaling by 2**k, |k| <= 30.
+NORMAL_RANGE = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.lists(NORMAL_RANGE, min_size=8, max_size=60, unique=True),
+    k=st.integers(-30, 30),
+    alpha=st.floats(0.01, 0.99),
+    u=st.floats(0.0, 1.0),
+)
+def test_adaptive_methods_equivariant_under_powers_of_two(data, k, alpha, u):
+    # x -> 2**k x scales every gap, weighted gap sum and spacing estimate
+    # exactly and every ratio by 2**-k, so the ratio order and the relative
+    # tie test are unchanged and the selection is the same.  From n = 8 on
+    # every alpha <= 0.99 is attainable by methods 12 and 13.
+    scale = 2.0 ** k
+    s = make_sample(data)
+    t = make_sample([scale * v for v in data])
+    for m in (12, 13):
+        a, b = METHODS[m].selection(s, alpha), METHODS[m].selection(t, alpha)
+        assert (b.included, b.tie_set, b.gamma) == (a.included, a.tie_set, a.gamma), m
+        expected = mapped(compute_region(m, s, alpha, u=u), lambda v: scale * v)
+        assert compute_region(m, t, alpha, u=u) == expected, m

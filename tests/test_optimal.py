@@ -13,6 +13,7 @@ from mediancr.classical import cr_sign
 from mediancr.distributions import (
     RngStream,
     binom_cdf,
+    binom_counts,
     binom_pmf,
     binom_pmf_fraction,
     binom_quantile,
@@ -23,13 +24,17 @@ from mediancr.errors import InfeasibleLevelError
 from mediancr.optimal import (
     Gamma0Selection,
     _ratio_groups,
+    adaptive_edf_selection,
+    adaptive_mom_selection,
     assemble_region,
     conservative_region,
     cr_adaptive_edf,
     cr_adaptive_mom,
     cr_exponential_focused,
     cr_symmetric_focused,
+    exponential_selection,
     select_gamma0,
+    symmetric_selection,
 )
 from mediancr.regions import Interval, Region, make_sample
 from mediancr.spacings import lk_edf, lk_exponential, lk_mom, lk_uniform
@@ -96,6 +101,26 @@ def test_selection_coverage_identity(n, alpha):
             assert 1.0 - alpha > 1.0 - 2.0 ** -n
             continue
         assert abs(s.p_included + s.gamma * s.p_tie - (1.0 - alpha)) <= 1e-12
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(3, 200), alpha=st.floats(0.001, 0.999), seed=st.integers(0, 2 ** 32))
+def test_selection_coverage_identity_at_random_alpha(n, alpha, seed):
+    # The exact coverage cum + gamma * tie_mass (over 2**n) misses 1 - alpha
+    # only by the rounding of gamma to a float.
+    s = make_sample(sample(normal(), n, RngStream(seed, ("identity",))))
+    counts = binom_counts(n)
+    builders = (symmetric_selection, exponential_selection,
+                adaptive_mom_selection, adaptive_edf_selection)
+    for build in builders:
+        try:
+            sel = build(s, alpha)
+        except InfeasibleLevelError:
+            continue
+        cum = sum(counts[k] for k in sel.included)
+        tie_mass = sum(counts[k] for k in sel.tie_set)
+        err = abs((cum + Fraction(sel.gamma) * tie_mass) / 2 ** n - (1 - Fraction(alpha)))
+        assert err <= Fraction(math.ulp(sel.gamma)) * tie_mass / 2 ** n, build.__name__
 
 
 def test_selection_is_threshold_rule():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mediancr.distributions import (
     RngStream,
@@ -13,12 +15,14 @@ from mediancr.distributions import (
     normal,
     normal_mixture,
     sample,
+    study_distributions,
     uniform,
 )
-from mediancr.errors import DegenerateDataError
+from mediancr.errors import DegenerateDataError, UnsupportedSizeError
 from mediancr.regions import make_sample
 from mediancr.spacings import (
     LkProfile,
+    _edf_weights,
     lk_edf,
     lk_exponential,
     lk_mom,
@@ -124,6 +128,83 @@ def test_edf_handles_all_tied_sample():
     # All mass at one point: every estimated spacing is zero.
     p = lk_edf(make_sample([2.0, 2.0, 2.0]))
     assert p.l == (0.0, 0.0, 0.0, 0.0)
+
+
+def edf_reference(values):
+    """l_hat(k) and r(k) of the lk_edf docstring, summed term by term over i."""
+    n = len(values)
+    l = []
+    for k in range(n + 1):
+        acc = 0.0
+        for i in range(2, n + 1):
+            p = (i - 1) / n
+            acc += (1.0 - p) ** (n - k) * p ** k * (values[i - 1] - values[i - 2])
+        l.append(math.comb(n, k) * acc)
+    # C(n, k) / 2**n is int / int, so correctly rounded like binom_pmf.
+    ratio = [math.inf if v == 0.0 else math.comb(n, k) / 2 ** n / v for k, v in enumerate(l)]
+    return tuple(l), tuple(ratio)
+
+
+def edf_oracle_samples(n, name, variants):
+    x = sample(study_distributions()[name], n, RngStream(8, ("edf-oracle", name)))
+    for scale, rounded in variants:
+        y = x * scale
+        yield make_sample(np.round(y, 1) if rounded else y)
+
+
+EDF_VARIANTS = [(scale, rounded) for scale in (1e-5, 1.0, 1e4) for rounded in (False, True)]
+
+
+@pytest.mark.parametrize("n", list(range(2, 41)) + [50, 100, 200])
+def test_edf_profile_equals_reference_bit_for_bit(n):
+    for name in study_distributions():
+        for s in edf_oracle_samples(n, name, EDF_VARIANTS):
+            p = lk_edf(s)
+            assert repr((p.l, p.ratio)) == repr(edf_reference(s.values)), (name, s.values[:3])
+
+
+@pytest.mark.parametrize("index, name", list(enumerate(sorted(study_distributions()))))
+def test_edf_profile_equals_reference_at_n1000(index, name):
+    # The reference takes about half a second here, so each distribution gets
+    # one scale and data kind, cycling through those that are not all zero
+    # (rounding at scale 1e-5).  A weight table from np.power instead of
+    # Python's pow fails here.
+    variants = [v for v in EDF_VARIANTS if v != (1e-5, True)]
+    [s] = edf_oracle_samples(1000, name, [variants[index % len(variants)]])
+    p = lk_edf(s)
+    assert repr((p.l, p.ratio)) == repr(edf_reference(s.values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1e3, 1e3), st.integers(-3, 3).map(float)), min_size=2, max_size=30))
+def test_edf_profile_equals_reference_on_arbitrary_data(data):
+    s = make_sample(data)
+    p = lk_edf(s)
+    assert repr((p.l, p.ratio)) == repr(edf_reference(s.values))
+
+
+def test_edf_weights_built_once_per_n():
+    _edf_weights.cache_clear()
+    for misses, n in enumerate((7, 12), start=1):
+        for seed in range(3):
+            lk_edf(make_sample(sample(normal(), n, RngStream(seed, ("edf-cache", n)))))
+        assert _edf_weights.cache_info().misses == misses
+    assert _edf_weights.cache_info().hits == 4
+
+
+def test_edf_weights_are_read_only():
+    w = _edf_weights(6)
+    assert w.shape == (5, 7) and w.dtype == np.float64
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+
+
+def test_edf_beyond_binomial_tables_builds_no_weights():
+    before = _edf_weights.cache_info().currsize
+    with pytest.raises(UnsupportedSizeError):
+        lk_edf(make_sample(np.arange(1100.0)))
+    assert _edf_weights.cache_info().currsize == before
 
 
 def test_estimates_require_n_at_least_two():
