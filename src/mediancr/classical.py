@@ -23,14 +23,14 @@ import numpy as np
 
 from .distributions import (
     RngStream,
-    binom_cdf,
     norm_cdf,
     norm_quantile,
     signed_rank_null_cdf,
     t_quantile,
 )
 from .errors import DegenerateDataError, InfeasibleLevelError
-from .regions import Interval, Region, SortedSample, region_from_gamma0
+from .optimal import conservative_region, symmetric_selection
+from .regions import Interval, Region, SortedSample
 
 __all__ = [
     "ClampedProbabilityWarning",
@@ -81,13 +81,14 @@ def cr_t(sample: SortedSample, alpha: float) -> Region:
 
 
 @lru_cache(maxsize=None)
-def _lower_cutoff(cdf, n: int, top: int, alpha: float) -> int:
-    """Largest w in 0..top with cdf(w, n) <= alpha/2, or -1 when there is none.
+def _lower_cutoff(n: int, alpha: float) -> int:
+    """Largest w in 0..top = n(n+1)/2 with signed-rank CDF(w) <= alpha/2, or -1.
 
     The null law is symmetric, so 1 - CDF(w) = CDF(top - 1 - w) exactly and the
     upper cutoff is top - 1 - k1.  Searched once per (n, alpha) by bisection.
     """
-    return bisect.bisect_left(range(top + 1), True, key=lambda w: cdf(w, n) > alpha / 2.0) - 1
+    return bisect.bisect_left(range(n * (n + 1) // 2 + 1), True,
+                              key=lambda w: signed_rank_null_cdf(w, n) > alpha / 2.0) - 1
 
 
 def cr_wilcoxon(sample: SortedSample, alpha: float) -> Region:
@@ -110,7 +111,7 @@ def cr_wilcoxon(sample: SortedSample, alpha: float) -> Region:
         )
     top = n * (n + 1) // 2
     # CDF(0) = 2^-n <= alpha/2 here, so k1 >= 0 and k2 < top: both ends are Walsh averages.
-    k1 = _lower_cutoff(signed_rank_null_cdf, n, top, alpha)
+    k1 = _lower_cutoff(n, alpha)
     k2 = top - 1 - k1
     # Halving first cannot overflow, and gives the same floats as (x_i + x_j) / 2
     # for all data but subnormals.
@@ -127,14 +128,11 @@ def cr_wilcoxon(sample: SortedSample, alpha: float) -> Region:
 def cr_sign(sample: SortedSample, alpha: float) -> Region:
     """Exact count-based region between mirrored order statistics.
 
-    [x_(k1+1), x_(n-k1)) with k1 the largest count whose binomial CDF is at
-    most alpha/2 (k1 = -1 when none, opening the region at -inf and closing
-    it at +inf).  Never infeasible; small n simply yields unbounded regions.
+    The non-randomized envelope of method 10: [x_(k1+1), x_(n-k1)) with k1
+    the largest count with P{B <= k1} <= alpha/2, compared in exact integers
+    (k1 = -1 when none, giving the whole line).  Never infeasible.
     """
-    _check_alpha(alpha)
-    n = sample.n
-    k1 = _lower_cutoff(binom_cdf, n, n, alpha)
-    return region_from_gamma0(sample, range(k1 + 1, n - k1))
+    return conservative_region(sample, symmetric_selection(sample, alpha))
 
 
 def kde_at_median(sample: SortedSample) -> float:

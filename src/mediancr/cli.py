@@ -27,7 +27,7 @@ from .classical import bootstrap_medians
 from .distributions import RngStream, binom_pmf_fraction, exponential, study_distributions
 from .errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from .methods import METHODS, compute_region, parse_method_ids
-from .optimal import assemble_region, select_gamma0
+from .optimal import assemble_region, conservative_region, select_gamma0
 from .regions import make_sample, region_from_gamma0
 from .simulate import SimConfig, results_to_csv, run_simulation
 from .spacings import lk_exponential, lk_uniform
@@ -38,15 +38,13 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
 
-_DIST_NAMES = tuple(study_distributions()) + ("exponential",)
+_DISTRIBUTIONS = {**study_distributions(), "exponential": exponential(1.0)}
 
 
 def _dist_by_name(name: str):
-    table = study_distributions()
-    table["exponential"] = exponential(1.0)
-    if name not in table:
-        raise ValueError(f"unknown distribution {name!r}; choose from {', '.join(table)}")
-    return table[name]
+    if name not in _DISTRIBUTIONS:
+        raise ValueError(f"unknown distribution {name!r}; choose from {', '.join(_DISTRIBUTIONS)}")
+    return _DISTRIBUTIONS[name]
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -103,11 +101,7 @@ def _fmt_endpoint_json(x):
 
 
 def _region_payload(region) -> dict:
-    content = region.content
-    return {
-        "intervals": region.to_jsonable(),
-        "content": _fmt_endpoint_json(content),
-    }
+    return {"intervals": region.to_jsonable(), "content": _fmt_endpoint_json(region.content)}
 
 
 def _cmd_cr(args) -> int:
@@ -218,7 +212,7 @@ def _explain_randomized(sel, srt) -> dict:
         "included": sorted(sel.included),
         "tie_set": sorted(sel.tie_set),
         "gamma": sel.gamma,
-        "if_u_le_gamma": region_from_gamma0(srt, sel.included | sel.tie_set),
+        "if_u_le_gamma": conservative_region(srt, sel),
         "if_u_gt_gamma": region_from_gamma0(srt, sel.included),
     }
 
@@ -280,9 +274,6 @@ def _cmd_table(args) -> int:
         except InfeasibleLevelError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         inc = ",".join(str(k) for k in sorted(sel.included))
         tie = ",".join(str(k) for k in sorted(sel.tie_set))
         print(f"alpha={args.alpha:g}")
@@ -315,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo grid")
     p_sim.add_argument("--dists", default=",".join(study_distributions()),
-                       help=f"comma-separated names from: {', '.join(_DIST_NAMES)}")
+                       help=f"comma-separated names from: {', '.join(_DISTRIBUTIONS)}")
     p_sim.add_argument("--sizes", default="10,15,20,25,30,40,50")
     p_sim.add_argument("--reps", type=int, default=10000)
     p_sim.add_argument("--breps", type=int, default=2000)
@@ -338,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every subcommand takes --alpha; check it before any work is done.
+        if args.alpha is not None and not 0.0 < args.alpha < 1.0:
+            raise ValueError(f"--alpha must be in (0, 1), got {args.alpha}")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -13,9 +13,10 @@ holds exactly.  Binomial masses are dyadic rationals and the accounting is
 done in exact arithmetic, so the identity survives to within one float
 rounding.
 
-Four region procedures build on the selection: two fixed profiles (uniform
-shape and exponential shape) and two adaptive ones that estimate the profile
-from the observed sample.
+Four selection builders feed it: two fixed profiles (uniform shape and
+exponential shape) and two adaptive ones that estimate the profile from the
+observed sample.  ``assemble_region`` realizes a selection for one uniform
+draw u; ``methods.METHODS`` pairs each builder with it.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ __all__ = [
     "exponential_selection",
     "adaptive_mom_selection",
     "adaptive_edf_selection",
-    "cr_symmetric_focused",
-    "cr_exponential_focused",
-    "cr_adaptive_mom",
-    "cr_adaptive_edf",
 ]
 
 
@@ -174,20 +171,14 @@ def assemble_region(sample: SortedSample, selection: Gamma0Selection, u: float) 
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must be in [0, 1], got {u}")
     if sample.n != selection.n:
-        raise ValueError(
-            f"selection was built for n = {selection.n}, sample has n = {sample.n}"
-        )
+        raise ValueError(f"selection was built for n = {selection.n}, sample has n = {sample.n}")
     ks = selection.included | (selection.tie_set if u <= selection.gamma else frozenset())
     return region_from_gamma0(sample, ks)
 
 
 def conservative_region(sample: SortedSample, selection: Gamma0Selection) -> Region:
-    """Non-randomized envelope: always admit the tie group."""
-    if sample.n != selection.n:
-        raise ValueError(
-            f"selection was built for n = {selection.n}, sample has n = {sample.n}"
-        )
-    return region_from_gamma0(sample, selection.included | selection.tie_set)
+    """Non-randomized envelope: always admit the tie group (the region at u = 0)."""
+    return assemble_region(sample, selection, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +192,12 @@ def _exponential_selection(n: int, alpha: float) -> Gamma0Selection:
 
 
 def symmetric_selection(sample: SortedSample, alpha: float) -> Gamma0Selection:
-    """Selection under the uniform-shape profile; it depends on (n, alpha) alone."""
+    """Selection under the uniform-shape profile; it depends on (n, alpha) alone.
+
+    Ratios follow the binomial coefficients, so counts enter symmetrically
+    from the center outward and the realized region is one interval between
+    mirrored order statistics.  Every ratio is positive: any level is feasible.
+    """
     return _uniform_selection(sample.n, alpha)
 
 
@@ -211,48 +207,24 @@ def exponential_selection(sample: SortedSample, alpha: float) -> Gamma0Selection
 
 
 def adaptive_mom_selection(sample: SortedSample, alpha: float) -> Gamma0Selection:
-    """Selection under the observed-spacings profile.  Requires n >= 3."""
+    """Selection under the observed-spacings profile.  Requires n >= 3.
+
+    Boundary counts carry ratio 0, so the attainable level is capped at
+    P{1 <= B <= n - 1} = 1 - 2^(1-n); levels beyond that raise
+    InfeasibleLevelError.  Tied observations leave a zero spacing, which the
+    profile refuses (DegenerateDataError).
+    """
     if sample.n < 3:
         raise ValueError(f"need n >= 3, got {sample.n}")
     return select_gamma0(lk_mom(sample), alpha)
 
 
 def adaptive_edf_selection(sample: SortedSample, alpha: float) -> Gamma0Selection:
-    """Selection under the empirical-CDF plug-in profile.  Requires n >= 3."""
+    """Selection under the empirical-CDF plug-in profile.  Requires n >= 3.
+
+    All estimated spacings are finite, so boundary counts may be admitted and
+    the realized region can be unbounded.
+    """
     if sample.n < 3:
         raise ValueError(f"need n >= 3, got {sample.n}")
     return select_gamma0(lk_edf(sample), alpha)
-
-
-def cr_symmetric_focused(sample: SortedSample, alpha: float, u: float) -> Region:
-    """Randomized region tuned to flat spacing profiles (uniform shape).
-
-    The selection depends only on (n, alpha): ratios follow the binomial
-    coefficients, so counts enter symmetrically from the center outward and
-    the realized region is one interval between mirrored order statistics.
-    """
-    return assemble_region(sample, symmetric_selection(sample, alpha), u)
-
-
-def cr_exponential_focused(sample: SortedSample, alpha: float, u: float) -> Region:
-    """Randomized region tuned to exponential-shape spacing profiles."""
-    return assemble_region(sample, exponential_selection(sample, alpha), u)
-
-
-def cr_adaptive_mom(sample: SortedSample, alpha: float, u: float) -> Region:
-    """Adaptive randomized region using observed spacings as the profile.
-
-    Boundary counts carry ratio 0, so the attainable level is capped at
-    P{1 <= B <= n - 1} = 1 - 2^(1-n); levels beyond that raise
-    InfeasibleLevelError.  Requires n >= 3 and untied observations.
-    """
-    return assemble_region(sample, adaptive_mom_selection(sample, alpha), u)
-
-
-def cr_adaptive_edf(sample: SortedSample, alpha: float, u: float) -> Region:
-    """Adaptive randomized region using the empirical-CDF plug-in profile.
-
-    All estimated spacings are finite, so boundary counts may be admitted and
-    the realized region can be unbounded.  Requires n >= 3.
-    """
-    return assemble_region(sample, adaptive_edf_selection(sample, alpha), u)

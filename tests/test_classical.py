@@ -1,6 +1,7 @@
 """Classical intervals: t, signed rank, sign counts, asymptotic, bootstrap."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from mediancr.classical import (
 from mediancr.distributions import (
     RngStream,
     binom_cdf,
+    binom_counts,
     norm_quantile,
     normal,
     sample,
@@ -239,6 +241,41 @@ def test_sign_region_equals_linear_scan_window():
         for alpha in CUTOFF_ALPHAS:
             expected = window(values, *sign_scan_window(cdf, alpha))
             assert cr_sign(s, alpha).intervals == expected, (n, alpha)
+
+
+def natural_sign_levels():
+    """(n, alpha) with alpha = 2 float(P{B <= k}) for k < n/2; 100 such k at n = 1000."""
+    cases = []
+    for n in (10, 30, 57, 100, 200, 1000):
+        ks = range((n + 1) // 2)
+        if n == 1000:
+            ks = sorted(random.Random(57).sample(ks, 100))
+        prefix = [0]
+        for c in binom_counts(n):
+            prefix.append(prefix[-1] + c)
+        cases += [(n, 2 * float(Fraction(prefix[k + 1], 2 ** n))) for k in ks]
+    return [(n, alpha) for n, alpha in cases if alpha < 1.0]
+
+
+def test_sign_region_exact_at_natural_levels():
+    # alpha/2 sits within one rounding of a binomial CDF value, so only an
+    # exact comparison picks the narrowest symmetric window with mass at
+    # least 1 - alpha.  On the sample 1..n, [x_(lo), x_(hi)) admits the
+    # counts lo..hi - 1.
+    cases = natural_sign_levels()
+    assert (57, 0.2892437471090205) in cases
+    for n, alpha in cases:
+        counts = binom_counts(n)
+        target = (1 - Fraction(alpha)) * 2 ** n
+        [iv] = cr_sign(make_sample(range(1, n + 1)), alpha).intervals
+        lo = 0 if iv.lo == -math.inf else int(iv.lo)
+        hi = n + 1 if iv.hi == math.inf else int(iv.hi)
+        assert lo + hi - 1 == n, (n, alpha)
+        mass = sum(counts[lo:hi])
+        assert mass >= target, (n, alpha)
+        assert mass - counts[lo] - counts[hi - 1] < target, (n, alpha)
+    r = cr_sign(make_sample(range(1, 58)), 0.2892437471090205)
+    assert r.intervals == (Interval(24.0, 34.0),)
 
 
 def test_wilcoxon_region_equals_linear_scan_window():

@@ -218,6 +218,17 @@ def test_cr_bad_methods_usage(datafile):
     assert main(["cr", "--input", datafile, "--methods", "one"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "0", "-0.1", "nan"])
+@pytest.mark.parametrize("command", ["cr", "table"])
+def test_bad_alpha_is_a_usage_error_before_any_work(datafile, capsys, command, alpha):
+    rest = ["--input", datafile, "--methods", "3"] if command == "cr" else ["--n", "10"]
+    assert main([command, f"--alpha={alpha}", *rest]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--alpha must be in (0, 1)" in captured.err
+    assert "method" not in captured.err and "jitter" not in captured.err
+
+
 def test_cr_tied_data_suggests_jitter(tmp_path, capsys):
     p = tmp_path / "tied.txt"
     p.write_text("1 1 2 3 4 5 6 7 8 9")

@@ -1,6 +1,7 @@
 """Method table and compute_region."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mediancr.classical import (
 )
 from mediancr.cli import _explain_randomized
 from mediancr.distributions import RngStream, normal, sample
+from mediancr.errors import DegenerateDataError, InfeasibleLevelError
 from mediancr.methods import (
     ALL_METHOD_IDS,
     METHODS,
@@ -25,10 +27,12 @@ from mediancr.methods import (
     parse_method_ids,
 )
 from mediancr.optimal import (
-    cr_adaptive_edf,
-    cr_adaptive_mom,
-    cr_exponential_focused,
-    cr_symmetric_focused,
+    adaptive_edf_selection,
+    adaptive_mom_selection,
+    assemble_region,
+    conservative_region,
+    exponential_selection,
+    symmetric_selection,
 )
 from mediancr.regions import Interval, Region, make_sample
 
@@ -45,10 +49,10 @@ DIRECT = {
     7: lambda s, a, u, b: cr_bootstrap(s, a, b, "percentile"),
     8: lambda s, a, u, b: cr_bootstrap(s, a, b, "bc"),
     9: lambda s, a, u, b: cr_bootstrap(s, a, b, "bca"),
-    10: lambda s, a, u, b: cr_symmetric_focused(s, a, u),
-    11: lambda s, a, u, b: cr_exponential_focused(s, a, u),
-    12: lambda s, a, u, b: cr_adaptive_mom(s, a, u),
-    13: lambda s, a, u, b: cr_adaptive_edf(s, a, u),
+    10: lambda s, a, u, b: assemble_region(s, symmetric_selection(s, a), u),
+    11: lambda s, a, u, b: assemble_region(s, exponential_selection(s, a), u),
+    12: lambda s, a, u, b: assemble_region(s, adaptive_mom_selection(s, a), u),
+    13: lambda s, a, u, b: assemble_region(s, adaptive_edf_selection(s, a), u),
 }
 
 # The module-global name through which the table reaches each method.
@@ -221,3 +225,46 @@ def test_adaptive_methods_equivariant_under_powers_of_two(data, k, alpha, u):
         assert (b.included, b.tie_set, b.gamma) == (a.included, a.tie_set, a.gamma), m
         expected = mapped(compute_region(m, s, alpha, u=u), lambda v: scale * v)
         assert compute_region(m, t, alpha, u=u) == expected, m
+
+
+def within(inner, outer):
+    """Whether every interval of ``inner`` lies inside one interval of ``outer``."""
+    def inside(a, b):
+        top_ok = a.hi < b.hi or (a.hi == b.hi and (b.closed_hi or not a.closed_hi))
+        return b.lo <= a.lo and top_ok
+    return all(any(inside(a, b) for b in outer.intervals) for a in inner.intervals)
+
+
+CONTINUOUS = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=40, unique=True)
+TIED = st.lists(st.integers(-3, 3).map(float), min_size=3, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.one_of(CONTINUOUS, TIED),
+    alpha=st.floats(0.01, 0.99),
+    u=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2 ** 32),
+)
+def test_region_invariants(data, alpha, u, seed):
+    s = make_sample(data)
+    boot = bootstrap_medians(s, 40, RngStream(seed, ("invariants",)))
+    regions = {}
+    for m in ALL_METHOD_IDS:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                regions[m] = compute_region(m, s, alpha, u=u, boot=boot)
+        except (InfeasibleLevelError, DegenerateDataError):
+            continue
+        ivs = regions[m].intervals
+        for iv in ivs:
+            assert iv.lo < iv.hi or (iv.closed_hi and iv.lo == iv.hi), (m, iv)
+        for a, b in zip(ivs, ivs[1:]):
+            assert a.hi < b.lo, (m, a, b)
+        assert regions[m].content == pytest.approx(math.fsum(iv.hi - iv.lo for iv in ivs), rel=1e-12), m
+        if METHODS[m].randomized:
+            assert within(regions[m], conservative_region(s, METHODS[m].selection(s, alpha))), m
+    # Method 3 is the envelope of method 10, and its u = 0 realization.
+    assert within(regions[10], regions[3])
+    assert compute_region(10, s, alpha, u=0.0) == regions[3]

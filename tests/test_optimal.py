@@ -28,10 +28,6 @@ from mediancr.optimal import (
     adaptive_mom_selection,
     assemble_region,
     conservative_region,
-    cr_adaptive_edf,
-    cr_adaptive_mom,
-    cr_exponential_focused,
-    cr_symmetric_focused,
     exponential_selection,
     select_gamma0,
     symmetric_selection,
@@ -148,7 +144,7 @@ def test_selection_infeasible_levels():
     # Observed-spacing profile: both boundary spacings infinite, cap
     # 1 - 2^(1-n).
     with pytest.raises(InfeasibleLevelError) as ei:
-        cr_adaptive_mom(make_sample([1.0, 2.0, 3.0]), 0.05, 0.5)
+        adaptive_mom_selection(make_sample([1.0, 2.0, 3.0]), 0.05)
     assert ei.value.attainable == 0.75
     # The uniform profile has every ratio positive, so any level is feasible.
     sel = select_gamma0(lk_uniform(3), 0.0001)
@@ -313,7 +309,7 @@ def test_symmetric_region_matches_two_sided_construction(n, alpha):
     assert sel.gamma == pytest.approx(gamma, abs=1e-12)
     for u in (0.0, max(gamma - 1e-9, 0.0), min(gamma + 1e-9, 1.0), 0.999):
         expect, _ = two_sided_randomized(s, alpha, u)
-        assert cr_symmetric_focused(s, alpha, u) == expect
+        assert assemble_region(s, symmetric_selection(s, alpha), u) == expect
 
 
 @pytest.mark.parametrize("n", [4, 5, 10, 15])
@@ -332,8 +328,9 @@ def test_adaptive_mom_matches_symmetric_on_equally_spaced_data():
     # observed-spacing ratios order the interior counts exactly like the
     # binomial coefficients do.
     s = make_sample(np.linspace(0.0, 9.0, 10))
+    mom, sym = adaptive_mom_selection(s, 0.05), symmetric_selection(s, 0.05)
     for u in (0.0, 0.4, 0.68, 0.9):
-        assert cr_adaptive_mom(s, 0.05, u) == cr_symmetric_focused(s, 0.05, u)
+        assert assemble_region(s, mom, u) == assemble_region(s, sym, u)
 
 
 def test_selection_equals_mom_selection_on_equal_spacings():
@@ -388,34 +385,40 @@ def test_randomized_rule_beats_random_deterministic_sets(profile_name):
 
 
 # ---------------------------------------------------------------------------
-# Equivariance of the four region procedures
+# Equivariance of the four randomized regions
 # ---------------------------------------------------------------------------
 
-PROCS = [
-    cr_symmetric_focused,
-    cr_exponential_focused,
-    cr_adaptive_mom,
-    cr_adaptive_edf,
+# Each builder with the name of the region it yields (methods 10..13).
+BUILDERS = [
+    pytest.param(symmetric_selection, id="cr_symmetric_focused"),
+    pytest.param(exponential_selection, id="cr_exponential_focused"),
+    pytest.param(adaptive_mom_selection, id="cr_adaptive_mom"),
+    pytest.param(adaptive_edf_selection, id="cr_adaptive_edf"),
 ]
 
 
-@pytest.mark.parametrize("proc", PROCS, ids=lambda f: f.__name__)
-def test_shift_equivariance(proc):
+def realized(build, data, alpha, u):
+    s = make_sample(data)
+    return assemble_region(s, build(s, alpha), u)
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+def test_shift_equivariance(build):
     data = [-2.0, -1.0, 0.5, 1.25, 2.0, 3.5, 6.0, 7.0, 9.0, 12.0]
     shift = 128.0  # power of two keeps float addition exact on these values
     for u in (0.1, 0.68, 0.95):
-        base = proc(make_sample(data), 0.05, u)
-        moved = proc(make_sample([v + shift for v in data]), 0.05, u)
+        base = realized(build, data, 0.05, u)
+        moved = realized(build, [v + shift for v in data], 0.05, u)
         assert moved == base.shifted(shift)
 
 
-@pytest.mark.parametrize("proc", PROCS, ids=lambda f: f.__name__)
-def test_scale_equivariance(proc):
+@pytest.mark.parametrize("build", BUILDERS)
+def test_scale_equivariance(build):
     data = [-2.0, -1.0, 0.5, 1.25, 2.0, 3.5, 6.0, 7.0, 9.0, 12.0]
     scale = 4.0
     for u in (0.1, 0.68, 0.95):
-        base = proc(make_sample(data), 0.05, u)
-        scaled = proc(make_sample([v * scale for v in data]), 0.05, u)
+        base = realized(build, data, 0.05, u)
+        scaled = realized(build, [v * scale for v in data], 0.05, u)
         expect = tuple(
             Interval(iv.lo * scale, iv.hi * scale, iv.closed_hi)
             for iv in base.intervals
@@ -426,15 +429,15 @@ def test_scale_equivariance(proc):
 def test_adaptive_procs_require_n3():
     s = make_sample([1.0, 2.0])
     with pytest.raises(ValueError):
-        cr_adaptive_mom(s, 0.5, 0.5)
+        adaptive_mom_selection(s, 0.5)
     with pytest.raises(ValueError):
-        cr_adaptive_edf(s, 0.5, 0.5)
+        adaptive_edf_selection(s, 0.5)
 
 
 def test_adaptive_edf_runs_and_is_deterministic():
     s = make_sample(sample(normal(), 12, RngStream(4, ("edf-run",))))
-    r1 = cr_adaptive_edf(s, 0.05, 0.3)
-    r2 = cr_adaptive_edf(s, 0.05, 0.3)
+    r1 = assemble_region(s, adaptive_edf_selection(s, 0.05), 0.3)
+    r2 = assemble_region(s, adaptive_edf_selection(s, 0.05), 0.3)
     assert r1 == r2
     assert not r1.is_empty
     assert r1.contains(s.median)
@@ -445,5 +448,5 @@ def test_exponential_focused_region_is_skewed_left():
     # which sits below the center: with alpha = .05, n = 10 the admitted
     # counts are {2..7} versus the symmetric {3..7}(+tie).
     s = make_sample(DATA10)
-    r = cr_exponential_focused(s, 0.05, 1.0)
+    r = assemble_region(s, exponential_selection(s, 0.05), 1.0)
     assert r.intervals == (Interval(s.order_stat(2), s.order_stat(8)),)
