@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -165,10 +165,21 @@ def cr_asymp_median(sample: SortedSample, alpha: float) -> Region:
 
 @dataclass(frozen=True)
 class BootstrapDistribution:
-    """Sorted bootstrap medians plus the observed sample median."""
+    """Sorted bootstrap medians plus the observed sample median.
+
+    ``medians_array`` holds the same values as a read-only float64 array for
+    numpy reductions; it is built from ``medians`` when not given.
+    """
 
     medians: tuple[float, ...]
     observed_median: float
+    medians_array: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.medians_array is None:
+            arr = np.array(self.medians, dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, "medians_array", arr)
 
     @property
     def breps(self) -> int:
@@ -201,7 +212,9 @@ def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> Boots
     mid = n // 2
     # Summed from +0.0 as np.median does: -0.0 data give 0.0, an underflowed mean -0.0.
     med = 0.0 + arr[idx[:, mid]] if n % 2 else ((0.0 + arr[idx[:, mid - 1]]) + arr[idx[:, mid]]) / 2.0
-    return BootstrapDistribution(tuple(np.sort(med).tolist()), sample.median)
+    med = np.sort(med)
+    med.flags.writeable = False
+    return BootstrapDistribution(tuple(med.tolist()), sample.median, med)
 
 
 def jackknife_acceleration(sample: SortedSample) -> float:
@@ -278,7 +291,7 @@ def cr_bootstrap(
     if variant == "se":
         if sample.n < 2:
             raise ValueError(f"need n >= 2, got {sample.n}")
-        se = float(np.std(np.asarray(boot.medians), ddof=1))
+        se = float(np.std(boot.medians_array, ddof=1))
         if se == 0.0:
             return _closed(m, m)
         half = t_quantile(1.0 - alpha / 2.0, sample.n - 1) * se

@@ -26,7 +26,6 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from scipy import optimize as _optimize
 from scipy import special as _special
 
 from .errors import UnsupportedSizeError
@@ -92,8 +91,12 @@ def _check_binom_k(k: int, n: int) -> int:
 def _binom_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # C(n, k) and its prefix sums: the pmf and the CDF of Binomial(n, 1/2),
     # each scaled by 2**n, so every mass and comparison is an exact integer.
-    counts = tuple(math.comb(n, k) for k in range(n + 1))
-    return counts, tuple(accumulate(counts))
+    # The exact recurrence C(n, k + 1) = C(n, k) (n - k) / (k + 1): one small
+    # multiply and divide per entry, far cheaper than a math.comb call each.
+    counts = [1]
+    for k in range(n):
+        counts.append(counts[k] * (n - k) // (k + 1))
+    return tuple(counts), tuple(accumulate(counts))
 
 
 def binom_counts(n: int) -> tuple[int, ...]:
@@ -213,6 +216,63 @@ def signed_rank_null_cdf(w: int, n: int) -> float:
         return prefix[w] / (1 << n)
     # Symmetry W+ ~ top - W+ gives P{W+ <= w} = 1 - P{W+ <= top - 1 - w}.
     return ((1 << n) - (prefix[top - 1 - w] if w < top else 0)) / (1 << n)
+
+
+# ---------------------------------------------------------------------------
+# Root finding
+# ---------------------------------------------------------------------------
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f in [a, b] by Brent's method, bit-identical to scipy.optimize.brentq.
+
+    A transcription of scipy's ``Zeros/brentq.c`` (BSD licensed): the same
+    float operations in the same order, so the same iterates and the same
+    root, without putting scipy.optimize on the import path of every process
+    for this one call.  Raises ValueError when f(a) and f(b) have the same
+    sign and RuntimeError when maxiter iterations do not converge.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # The tolerance is 2 * delta.
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +421,8 @@ class DistributionSpec:
         # The component quantiles bracket the mixture quantile.
         if lo == hi:
             return lo
-        return float(_optimize.brentq(lambda x: self.cdf(x) - p, lo, hi,
-                                      xtol=1e-13, rtol=8.9e-16, maxiter=200))
+        return _brentq(lambda x: self.cdf(x) - p, lo, hi,
+                       xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
     def true_median(self) -> float:
         """Median, exact where a closed form exists, else root-found to ~1e-15."""

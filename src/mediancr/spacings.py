@@ -23,13 +23,14 @@ relative tolerance of 1e-9.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
-from scipy import integrate as _integrate
 
-from .distributions import DistributionSpec, binom_counts, binom_pmf
+from .distributions import DistributionSpec, binom_counts
 from .errors import DegenerateDataError
 from .regions import SortedSample
 
@@ -87,7 +88,9 @@ class LkProfile:
 
 @lru_cache(maxsize=None)
 def _binom_pmfs(n: int) -> tuple[float, ...]:
-    return tuple(binom_pmf(k, n) for k in range(n + 1))
+    # int / int is correctly rounded, so each entry is binom_pmf(k, n).
+    scale = 1 << n
+    return tuple(c / scale for c in binom_counts(n))
 
 
 def _ratios_from_l(n: int, l: tuple[float, ...]) -> tuple[float, ...]:
@@ -116,8 +119,7 @@ def lk_uniform(n: int, half_width: float = 1.0) -> LkProfile:
         raise ValueError(f"half_width must be positive, got {half_width}")
     gap = 2.0 * half_width / (n + 1)
     l = (gap,) * (n + 1)
-    return LkProfile(n, l, _ratios_from_l(n, l),
-                     tuple(math.comb(n, k) for k in range(n + 1)))
+    return LkProfile(n, l, _ratios_from_l(n, l), binom_counts(n))
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +135,7 @@ def lk_exponential(n: int, rate: float = 1.0) -> LkProfile:
     if rate <= 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
     l = tuple(1.0 / (rate * (n - k)) for k in range(n)) + (math.inf,)
-    exact = tuple(math.comb(n - 1, k) for k in range(n)) + (0,)
+    exact = binom_counts(n - 1) + (0,) if n > 1 else (1, 0)
     return LkProfile(n, l, _ratios_from_l(n, l), exact)
 
 
@@ -191,14 +193,24 @@ def lk_edf(sample: SortedSample) -> LkProfile:
 def _edf_weights(n: int) -> np.ndarray:
     """Read-only weights of lk_edf: row i - 2 holds (1 - p)^(n-k) p^k, p = (i-1)/n.
 
-    Evaluated with Python's pow, which np.power does not always match, so
-    each weight is the float the scalar formula gives.
+    The powers are evaluated with Python's pow, which np.power does not always
+    match, and multiplied as IEEE doubles, so each weight is the float the
+    scalar formula gives.  Most bases recur as some other row's 1 - p, so each
+    distinct base's powers are computed once.
     """
+    exponents = [float(k) for k in range(n + 1)]
+    powers = {}
+
+    def row(b: float) -> np.ndarray:
+        # operator.pow is b ** k; a float exponent skips a conversion per call.
+        if b not in powers:
+            powers[b] = np.fromiter(map(operator.pow, repeat(b), exponents), float, n + 1)
+        return powers[b]
+
     w = np.empty((n - 1, n + 1))
     for i in range(2, n + 1):
         p = (i - 1) / n
-        q = 1.0 - p
-        w[i - 2] = [q ** (n - k) * p ** k for k in range(n + 1)]
+        np.multiply(row(1.0 - p)[::-1], row(p), out=w[i - 2])
     w.flags.writeable = False
     return w
 
@@ -268,7 +280,10 @@ def lk_numeric(dist: DistributionSpec, n: int, k: int) -> float:
     if hi_div:
         return math.inf
 
-    val, _ = _integrate.quad(g, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=500)
+    # Imported here, its only use, so importing the package does not load it.
+    from scipy import integrate
+
+    val, _ = integrate.quad(g, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=500)
     return math.comb(n, k) * val
 
 

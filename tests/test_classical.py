@@ -399,8 +399,10 @@ def test_bootstrap_medians_equal_numpy_median(s, breps, seed):
     rng = RngStream(seed, ("boot",))
     idx = rng.generator().integers(0, s.n, size=(breps, s.n))
     expected = np.sort(np.median(s.as_array()[idx], axis=1)).tolist()
-    got = bootstrap_medians(s, breps, rng).medians
-    assert [repr(v) for v in got] == [repr(v) for v in expected]
+    boot = bootstrap_medians(s, breps, rng)
+    assert [repr(v) for v in boot.medians] == [repr(v) for v in expected]
+    assert [repr(v) for v in boot.medians_array.tolist()] == [repr(v) for v in expected]
+    assert boot.medians_array.dtype == np.float64 and not boot.medians_array.flags.writeable
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from mediancr.distributions import (
     DistributionSpec,
     RngStream,
+    _binom_tables,
+    _brentq,
     binom_cdf,
+    binom_counts,
     binom_pmf,
     binom_pmf_fraction,
     binom_quantile,
@@ -111,6 +114,13 @@ def test_binom_large_n_no_overflow():
     # Oracle: mpmath binomial(1000, 500) / 2**1000 = 0.0252250181783608019...
     assert binom_pmf(500, 1000) == pytest.approx(0.025225018178, rel=1e-9)
     assert binom_quantile(0.5, 1000) == 500
+
+
+def test_binom_counts_equal_math_comb_for_every_n():
+    # The uncached builder, so the test does not keep every table alive.
+    for n in range(1, 1001):
+        assert _binom_tables.__wrapped__(n)[0] == tuple(math.comb(n, k) for k in range(n + 1)), n
+    assert binom_counts(57) == tuple(math.comb(57, k) for k in range(58))
 
 
 def test_binom_domain_errors():
@@ -299,6 +309,37 @@ def test_true_median_closed_forms():
 
 def bisection_median(dist):
     return optimize.brentq(lambda x: dist.cdf(x) - 0.5, -100.0, 100.0, xtol=1e-13)
+
+
+def _seeded_mixtures(count):
+    rng = np.random.default_rng(20181)
+    return [normal_mixture(rng.uniform(0.05, 0.95), rng.normal(0.0, 10.0), rng.uniform(0.1, 5.0),
+                           rng.normal(0.0, 10.0), rng.uniform(0.1, 5.0))
+            for _ in range(count)]
+
+
+MIXTURE_PS = [1e-10, 1.0 - 1e-10] + list(np.linspace(0.0, 1.0, 300)[1:-1])
+
+
+@pytest.mark.parametrize("dist", [study_distributions()["mixture"]] + _seeded_mixtures(30),
+                         ids=lambda d: d.label)
+def test_mixture_quantile_equals_scipy_brentq(dist):
+    # Oracle: scipy.optimize.brentq on the bracket of the component quantiles.
+    w1, m1, s1, m2, s2 = dist.params
+    for p in MIXTURE_PS:
+        z = special.ndtri(p)
+        lo, hi = sorted((m1 + s1 * z, m2 + s2 * z))
+        expected = optimize.brentq(lambda x: dist.cdf(x) - p, lo, hi,
+                                   xtol=1e-13, rtol=8.9e-16, maxiter=200)
+        assert repr(dist.quantile(p)) == repr(float(expected)), p
+
+
+def test_mixture_median_value_and_brentq_bracket_check():
+    assert repr(study_distributions()["mixture"].true_median()) == "-2.099278874542355"
+    with pytest.raises(ValueError):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    with pytest.raises(RuntimeError):
+        _brentq(lambda x: x - 0.3, 0.0, 1.0, xtol=1e-13, rtol=8.9e-16, maxiter=1)
 
 
 def test_gamma_median_against_bisection_oracle():

@@ -1,14 +1,20 @@
 """Expected-spacing profiles: closed forms, data estimates, quadrature."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mediancr
 from mediancr.distributions import (
     RngStream,
+    binom_pmf,
     cauchy,
     exponential,
     logistic,
@@ -22,6 +28,7 @@ from mediancr.errors import DegenerateDataError, UnsupportedSizeError
 from mediancr.regions import make_sample
 from mediancr.spacings import (
     LkProfile,
+    _binom_pmfs,
     _edf_weights,
     lk_edf,
     lk_exponential,
@@ -61,6 +68,17 @@ def test_exponential_profile_values():
 def test_exponential_profile_n10_ratios():
     # C(9, k) for k = 0..9, then 0 for the infinite top spacing.
     assert lk_exponential(10).exact_ratio == (1, 9, 36, 84, 126, 126, 84, 36, 9, 1, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 57, 200, 999, 1000])
+def test_exact_ratios_are_binomial_coefficients(n):
+    assert lk_uniform(n).exact_ratio == tuple(math.comb(n, k) for k in range(n + 1))
+    assert lk_exponential(n).exact_ratio == tuple(math.comb(n - 1, k) for k in range(n)) + (0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 57, 200, 999, 1000])
+def test_binomial_pmf_table_equals_binom_pmf(n):
+    assert _binom_pmfs(n) == tuple(binom_pmf(k, n) for k in range(n + 1))
 
 
 def test_profile_ratio_floats_follow_exact():
@@ -232,6 +250,24 @@ def test_numeric_matches_exponential_closed_form():
         for k in range(n):
             assert lk_numeric(dist, n, k) == pytest.approx(1.0 / (n - k), abs=1e-9)
         assert lk_numeric(dist, n, n) == math.inf
+
+
+def test_import_loads_no_optimize_or_integrate():
+    # Only lk_numeric needs scipy.integrate; nothing needs scipy.optimize.
+    code = (
+        "import sys, mediancr, mediancr.cli\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n"
+        "from mediancr.distributions import exponential\n"
+        "from mediancr.spacings import lk_numeric\n"
+        "print(repr(lk_numeric(exponential(1.0), 10, 3)), 'scipy.integrate' in sys.modules)\n"
+    )
+    src = str(Path(mediancr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True).stdout.splitlines()
+    assert out[0] == "[]"
+    assert out[1] == f"{lk_numeric(exponential(1.0), 10, 3)!r} True"
 
 
 def test_numeric_exponential_frozen_value():
