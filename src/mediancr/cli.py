@@ -25,7 +25,7 @@ import warnings
 
 from .classical import bootstrap_medians
 from .distributions import RngStream, binom_pmf_fraction, exponential, study_distributions
-from .errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
+from .errors import DegenerateDataError, InfeasibleLevelError
 from .methods import METHODS, compute_region, parse_method_ids
 from .optimal import assemble_region, conservative_region, select_gamma0
 from .regions import make_sample, region_from_gamma0
@@ -156,16 +156,17 @@ def _cmd_cr(args) -> int:
         except InfeasibleLevelError as exc:
             print(f"error: method {m} ({info.name}): {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
-        except UnsupportedSizeError as exc:
-            # A size limit of the method: jittering the data cannot help.
-            print(f"error: method {m} ({info.name}): {exc}", file=sys.stderr)
-            return EXIT_DATA
-        except (DegenerateDataError, ValueError) as exc:
+        except DegenerateDataError as exc:
+            # Ties or no spread: jittering the data can help.
             print(
                 f"error: method {m} ({info.name}): {exc}"
                 + ("" if args.jitter is not None else "; consider --jitter"),
                 file=sys.stderr,
             )
+            return EXIT_DATA
+        except ValueError as exc:
+            # A size limit or too few observations: jittering cannot help.
+            print(f"error: method {m} ({info.name}): {exc}", file=sys.stderr)
             return EXIT_DATA
         entry = {
             "method": m,

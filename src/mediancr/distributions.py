@@ -2,11 +2,12 @@
 
 This module collects the distribution-side machinery:
 
-* the exact Binomial(n, 1/2) pmf/cdf/quantile (dyadic rationals, no rounding
-  in the arithmetic, only in the final float conversion),
+* the exact Binomial(n, 1/2) counts, pmf and cdf (dyadic rationals, no
+  rounding in the arithmetic, only in the final float conversion),
 * normal and Student-t quantiles,
 * the exact null distribution of the Wilcoxon signed-rank statistic,
-* the error-distribution specifications used by the simulation study, with
+* the error-distribution specifications used by the simulation study, one
+  table entry per family (cdf, pdf, quantile, support, tail index), with
   inverse-transform samplers, and
 * keyed reproducible random streams.
 
@@ -17,13 +18,13 @@ one normal draw).  That keeps every sampler stable under a fixed stream key.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special as _special
@@ -33,9 +34,7 @@ from .errors import UnsupportedSizeError
 __all__ = [
     "MAX_BINOM_N",
     "MAX_SIGNED_RANK_N",
-    "binom_pmf",
     "binom_cdf",
-    "binom_quantile",
     "binom_pmf_fraction",
     "binom_counts",
     "norm_cdf",
@@ -110,34 +109,10 @@ def binom_pmf_fraction(k: int, n: int) -> Fraction:
     return Fraction(_binom_tables(n)[0][k], 1 << n)
 
 
-def binom_pmf(k: int, n: int) -> float:
-    """P{B = k} for B ~ Binomial(n, 1/2).
-
-    The value is the correctly rounded float of the exact dyadic rational
-    C(n, k) / 2**n.
-    """
-    n = _check_binom_k(k, n)
-    # int / int is correctly rounded, so this is float(Fraction(C(n, k), 2**n)).
-    return _binom_tables(n)[0][k] / (1 << n)
-
-
 def binom_cdf(k: int, n: int) -> float:
     """P{B <= k} for B ~ Binomial(n, 1/2), exact up to the final rounding."""
     n = _check_binom_k(k, n)
     return _binom_tables(n)[1][k] / (1 << n)
-
-
-def binom_quantile(p: float, n: int) -> int:
-    """Smallest k with P{B <= k} >= p, for B ~ Binomial(n, 1/2).
-
-    Comparisons are exact: p is taken at its binary-float value and compared
-    against dyadic rationals.  ``binom_quantile(0.0, n) == 0`` and
-    ``binom_quantile(1.0, n) == n``.
-    """
-    n = _check_binom_n(n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    return bisect.bisect_left(_binom_tables(n)[1], Fraction(p) * (1 << n))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +255,136 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> fl
 # ---------------------------------------------------------------------------
 
 
+class _Family(NamedTuple):
+    """One error-distribution family: cdf, pdf and quantile take (x, *params)."""
+
+    cdf: Callable
+    pdf: Callable
+    quantile: Callable
+    support: Callable = lambda *params: (-math.inf, math.inf)  # (*params) -> (lower, upper)
+    # nu with F ~ |x|**-nu in each unbounded tail; inf for tails lighter than every power.
+    tail_index: float = math.inf
+    # (gen, n, *params), for a family whose variates are not one quantile per uniform.
+    draw: Callable | None = None
+
+
+def _normal_pdf(x, mu, sigma):
+    z = (x - mu) / sigma
+    return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+
+
+def _cauchy_pdf(x, x0, scale):
+    z = (x - x0) / scale
+    return 1.0 / (np.pi * scale * (1.0 + z * z))
+
+
+def _logistic_pdf(x, mu, s):
+    q = _special.expit((x - mu) / s)
+    return q * (1.0 - q) / s
+
+
+def _gamma_pdf(x, shape, rate):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lx = np.log(np.maximum(x, 0.0))
+        return np.where(
+            x > 0.0,
+            np.exp(shape * math.log(rate) + (shape - 1.0) * lx - rate * x
+                   - math.lgamma(shape)),
+            0.0,
+        )
+
+
+def _weibull_pdf(x, shape, scale):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.maximum(x, 0.0) / scale
+        return np.where(
+            x > 0.0,
+            (shape / scale) * z ** (shape - 1.0) * np.exp(-(z ** shape)),
+            0.0,
+        )
+
+
+def _mixture_cdf(x, w1, m1, s1, m2, s2):
+    return w1 * _special.ndtr((x - m1) / s1) + (1.0 - w1) * _special.ndtr((x - m2) / s2)
+
+
+def _mixture_pdf(x, w1, m1, s1, m2, s2):
+    z1 = (x - m1) / s1
+    z2 = (x - m2) / s2
+    c = 1.0 / math.sqrt(2.0 * math.pi)
+    return w1 * c / s1 * np.exp(-0.5 * z1 * z1) + (1.0 - w1) * c / s2 * np.exp(-0.5 * z2 * z2)
+
+
+def _mixture_quantile_scalar(p: float, *params) -> float:
+    w1, m1, s1, m2, s2 = params
+    lo = min(m1 + s1 * _special.ndtri(p), m2 + s2 * _special.ndtri(p))
+    hi = max(m1 + s1 * _special.ndtri(p), m2 + s2 * _special.ndtri(p))
+    # The component quantiles bracket the mixture quantile.
+    if lo == hi:
+        return lo
+    return _brentq(lambda x: _mixture_cdf(x, *params) - p, lo, hi,
+                   xtol=1e-13, rtol=8.9e-16, maxiter=200)
+
+
+def _mixture_draw(gen: np.random.Generator, n: int, w1, m1, s1, m2, s2) -> np.ndarray:
+    # Two uniforms per variate: the component coin, then the normal draw.
+    u = gen.random(2 * n)
+    z = _special.ndtri(np.maximum(u[1::2], _U_FLOOR))
+    return np.where(u[0::2] < w1, m1 + s1 * z, m2 + s2 * z)
+
+
+_FAMILIES: dict[str, _Family] = {
+    "normal": _Family(
+        cdf=lambda x, mu, sigma: _special.ndtr((x - mu) / sigma),
+        pdf=_normal_pdf,
+        quantile=lambda u, mu, sigma: mu + sigma * _special.ndtri(u),
+    ),
+    "cauchy": _Family(
+        cdf=lambda x, x0, scale: 0.5 + np.arctan((x - x0) / scale) / np.pi,
+        pdf=_cauchy_pdf,
+        quantile=lambda u, x0, scale: x0 + scale * np.tan(np.pi * (u - 0.5)),
+        tail_index=1.0,
+    ),
+    "uniform": _Family(
+        cdf=lambda x, a, b: np.clip((x - a) / (b - a), 0.0, 1.0),
+        pdf=lambda x, a, b: np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0),
+        quantile=lambda u, a, b: a + (b - a) * u,
+        support=lambda a, b: (a, b),
+    ),
+    "logistic": _Family(
+        cdf=lambda x, mu, s: _special.expit((x - mu) / s),
+        pdf=_logistic_pdf,
+        quantile=lambda u, mu, s: mu + s * (np.log(u) - np.log1p(-u)),
+    ),
+    "gamma": _Family(
+        cdf=lambda x, shape, rate: _special.gammainc(shape, rate * np.maximum(x, 0.0)),
+        pdf=_gamma_pdf,
+        quantile=lambda u, shape, rate: _special.gammaincinv(shape, u) / rate,
+        support=lambda *p: (0.0, math.inf),
+    ),
+    "weibull": _Family(
+        cdf=lambda x, shape, scale: np.where(
+            x > 0.0, -np.expm1(-((np.maximum(x, 0.0) / scale) ** shape)), 0.0),
+        pdf=_weibull_pdf,
+        quantile=lambda u, shape, scale: scale * (-np.log1p(-u)) ** (1.0 / shape),
+        support=lambda *p: (0.0, math.inf),
+    ),
+    "exponential": _Family(
+        cdf=lambda x, rate: np.where(x > 0.0, -np.expm1(-rate * np.maximum(x, 0.0)), 0.0),
+        pdf=lambda x, rate: np.where(x > 0.0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0),
+        quantile=lambda u, rate: -np.log1p(-u) / rate,
+        support=lambda *p: (0.0, math.inf),
+    ),
+    "normal_mixture": _Family(
+        cdf=_mixture_cdf,
+        pdf=_mixture_pdf,
+        quantile=lambda u, *p: np.vectorize(
+            lambda q: _mixture_quantile_scalar(q, *p), otypes=[float])(u),
+        draw=_mixture_draw,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A fully parameterized error distribution.
@@ -294,167 +399,44 @@ class DistributionSpec:
     family: str
     params: tuple[float, ...]
 
+    def __post_init__(self):
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+
     @property
     def label(self) -> str:
         """Compact identifier, comma-free so it can sit in a CSV field."""
         inner = ";".join(f"{p:g}" for p in self.params)
         return f"{self.family}({inner})"
 
-    # -- distribution functions -------------------------------------------
+    def _call(self, fn, x):
+        out = fn(np.asarray(x, dtype=float), *self.params)
+        return out if np.ndim(out) else float(out)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        f, p = self.family, self.params
-        if f == "normal":
-            mu, sigma = p
-            out = _special.ndtr((x - mu) / sigma)
-        elif f == "cauchy":
-            x0, scale = p
-            out = 0.5 + np.arctan((x - x0) / scale) / np.pi
-        elif f == "uniform":
-            a, b = p
-            out = np.clip((x - a) / (b - a), 0.0, 1.0)
-        elif f == "logistic":
-            mu, s = p
-            out = _special.expit((x - mu) / s)
-        elif f == "gamma":
-            shape, rate = p
-            out = _special.gammainc(shape, rate * np.maximum(x, 0.0))
-        elif f == "weibull":
-            shape, scale = p
-            out = np.where(x > 0.0, -np.expm1(-((np.maximum(x, 0.0) / scale) ** shape)), 0.0)
-        elif f == "exponential":
-            (rate,) = p
-            out = np.where(x > 0.0, -np.expm1(-rate * np.maximum(x, 0.0)), 0.0)
-        elif f == "normal_mixture":
-            w1, m1, s1, m2, s2 = p
-            out = w1 * _special.ndtr((x - m1) / s1) + (1.0 - w1) * _special.ndtr((x - m2) / s2)
-        else:  # pragma: no cover - constructors prevent this
-            raise ValueError(f"unknown family {f!r}")
-        return out if out.ndim else float(out)
+        """CDF; accepts scalars or arrays."""
+        return self._call(_FAMILIES[self.family].cdf, x)
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        f, p = self.family, self.params
-        if f == "normal":
-            mu, sigma = p
-            z = (x - mu) / sigma
-            out = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-        elif f == "cauchy":
-            x0, scale = p
-            z = (x - x0) / scale
-            out = 1.0 / (np.pi * scale * (1.0 + z * z))
-        elif f == "uniform":
-            a, b = p
-            out = np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
-        elif f == "logistic":
-            mu, s = p
-            q = _special.expit((x - mu) / s)
-            out = q * (1.0 - q) / s
-        elif f == "gamma":
-            shape, rate = p
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lx = np.log(np.maximum(x, 0.0))
-                out = np.where(
-                    x > 0.0,
-                    np.exp(shape * math.log(rate) + (shape - 1.0) * lx - rate * x
-                           - math.lgamma(shape)),
-                    0.0,
-                )
-        elif f == "weibull":
-            shape, scale = p
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = np.maximum(x, 0.0) / scale
-                out = np.where(
-                    x > 0.0,
-                    (shape / scale) * z ** (shape - 1.0) * np.exp(-(z ** shape)),
-                    0.0,
-                )
-        elif f == "exponential":
-            (rate,) = p
-            out = np.where(x > 0.0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0)
-        elif f == "normal_mixture":
-            w1, m1, s1, m2, s2 = p
-            z1 = (x - m1) / s1
-            z2 = (x - m2) / s2
-            c = 1.0 / math.sqrt(2.0 * math.pi)
-            out = w1 * c / s1 * np.exp(-0.5 * z1 * z1) + (1.0 - w1) * c / s2 * np.exp(-0.5 * z2 * z2)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown family {f!r}")
-        return out if out.ndim else float(out)
+        """Density; accepts scalars or arrays."""
+        return self._call(_FAMILIES[self.family].pdf, x)
 
     def quantile(self, p):
         """Inverse CDF; accepts scalars or arrays with entries in (0, 1)."""
-        arr = np.asarray(p, dtype=float)
-        f, prm = self.family, self.params
-        if f == "normal":
-            mu, sigma = prm
-            out = mu + sigma * _special.ndtri(arr)
-        elif f == "cauchy":
-            x0, scale = prm
-            out = x0 + scale * np.tan(np.pi * (arr - 0.5))
-        elif f == "uniform":
-            a, b = prm
-            out = a + (b - a) * arr
-        elif f == "logistic":
-            mu, s = prm
-            out = mu + s * (np.log(arr) - np.log1p(-arr))
-        elif f == "gamma":
-            shape, rate = prm
-            out = _special.gammaincinv(shape, arr) / rate
-        elif f == "weibull":
-            shape, scale = prm
-            out = scale * (-np.log1p(-arr)) ** (1.0 / shape)
-        elif f == "exponential":
-            (rate,) = prm
-            out = -np.log1p(-arr) / rate
-        elif f == "normal_mixture":
-            out = np.vectorize(self._mixture_quantile_scalar, otypes=[float])(arr)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown family {f!r}")
-        return out if np.ndim(out) else float(out)
-
-    def _mixture_quantile_scalar(self, p: float) -> float:
-        w1, m1, s1, m2, s2 = self.params
-        lo = min(m1 + s1 * _special.ndtri(p), m2 + s2 * _special.ndtri(p))
-        hi = max(m1 + s1 * _special.ndtri(p), m2 + s2 * _special.ndtri(p))
-        # The component quantiles bracket the mixture quantile.
-        if lo == hi:
-            return lo
-        return _brentq(lambda x: self.cdf(x) - p, lo, hi,
-                       xtol=1e-13, rtol=8.9e-16, maxiter=200)
+        return self._call(_FAMILIES[self.family].quantile, p)
 
     def true_median(self) -> float:
-        """Median, exact where a closed form exists, else root-found to ~1e-15."""
-        f, p = self.family, self.params
-        if f == "normal":
-            return p[0]
-        if f == "cauchy":
-            return p[0]
-        if f == "uniform":
-            return 0.5 * (p[0] + p[1])
-        if f == "logistic":
-            return p[0]
-        if f == "gamma":
-            shape, rate = p
-            return float(_special.gammaincinv(shape, 0.5)) / rate
-        if f == "weibull":
-            shape, scale = p
-            return scale * math.log(2.0) ** (1.0 / shape)
-        if f == "exponential":
-            return math.log(2.0) / p[0]
-        if f == "normal_mixture":
-            return self._mixture_quantile_scalar(0.5)
-        raise ValueError(f"unknown family {f!r}")  # pragma: no cover
+        """The median, read off the quantile function at 1/2."""
+        return self.quantile(0.5)
 
     @property
     def support(self) -> tuple[float, float]:
-        f, p = self.family, self.params
-        if f == "uniform":
-            return (p[0], p[1])
-        if f in ("gamma", "weibull", "exponential"):
-            return (0.0, math.inf)
-        return (-math.inf, math.inf)
+        return _FAMILIES[self.family].support(*self.params)
+
+    @property
+    def tail_index(self) -> float:
+        """nu with F ~ |x|**-nu in each unbounded tail; inf when the tails are lighter."""
+        return _FAMILIES[self.family].tail_index
 
 
 def normal(mean: float = 0.0, sd: float = 1.0) -> DistributionSpec:
@@ -578,9 +560,7 @@ def sample(dist: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = rng.generator()
-    if dist.family == "normal_mixture":
-        w1, m1, s1, m2, s2 = dist.params
-        u = gen.random(2 * n)
-        z = _special.ndtri(np.maximum(u[1::2], _U_FLOOR))
-        return np.where(u[0::2] < w1, m1 + s1 * z, m2 + s2 * z)
+    draw = _FAMILIES[dist.family].draw
+    if draw is not None:
+        return draw(gen, n, *dist.params)
     return dist.quantile(np.maximum(gen.random(n), _U_FLOOR))

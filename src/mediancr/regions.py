@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "Interval",
     "Region",
     "region_from_gamma0",
-    "region_from_strings",
 ]
 
 
@@ -101,14 +100,6 @@ def _fmt_endpoint(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_endpoint(tok: str) -> float:
-    if tok == "-inf":
-        return -math.inf
-    if tok == "inf":
-        return math.inf
-    return float(tok)
-
-
 @dataclass(frozen=True)
 class Region:
     """A disjoint, ascending union of intervals (possibly empty).
@@ -136,7 +127,7 @@ class Region:
                             for iv in self.intervals))
 
     def to_strings(self) -> list[str]:
-        """Serialize to interval tokens; round-trips bit-exactly."""
+        """Interval tokens, one per piece; finite endpoints are written with repr."""
         return [iv.token() for iv in self.intervals]
 
     def to_jsonable(self) -> list[dict]:
@@ -146,19 +137,6 @@ class Region:
             hi = iv.hi if math.isfinite(iv.hi) else _fmt_endpoint(iv.hi)
             out.append({"lo": lo, "hi": hi, "closed_hi": iv.closed_hi})
         return out
-
-
-def region_from_strings(tokens: Sequence[str]) -> Region:
-    """Parse the output of Region.to_strings back into a Region."""
-    ivs = []
-    for tok in tokens:
-        tok = tok.strip()
-        if not (tok.startswith("[") and tok[-1] in ")]"):
-            raise ValueError(f"malformed interval token {tok!r}")
-        closed = tok[-1] == "]"
-        lo_s, hi_s = tok[1:-1].split(":")
-        ivs.append(Interval(_parse_endpoint(lo_s), _parse_endpoint(hi_s), closed))
-    return Region(tuple(ivs))
 
 
 def region_from_gamma0(sample: SortedSample, k_set: Iterable[int]) -> Region:

@@ -17,7 +17,9 @@ that drive the randomized region constructions.  Two closed forms matter:
 Profiles from closed forms carry an exact integer representation of the ratio
 ordering so tie groups are detected without floating-point comparisons.  Data
 -driven and numeric profiles are floating point; their tie grouping uses a
-relative tolerance of 1e-9.
+relative tolerance of 1e-9.  A numeric profile decides which spacings are
+infinite exactly, from the support and the tail index of F, and integrates
+only the finite ones.
 """
 
 from __future__ import annotations
@@ -113,13 +115,12 @@ def lk_uniform(n: int, half_width: float = 1.0) -> LkProfile:
     All n + 1 spacings equal 2 * half_width / (n + 1); the ratio ordering is
     that of the binomial coefficients C(n, k).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    counts = binom_counts(n)  # checks 1 <= n <= MAX_BINOM_N before anything of size n is built
     if half_width <= 0.0:
         raise ValueError(f"half_width must be positive, got {half_width}")
     gap = 2.0 * half_width / (n + 1)
     l = (gap,) * (n + 1)
-    return LkProfile(n, l, _ratios_from_l(n, l), binom_counts(n))
+    return LkProfile(n, l, _ratios_from_l(n, l), counts)
 
 
 @lru_cache(maxsize=None)
@@ -130,8 +131,7 @@ def lk_exponential(n: int, rate: float = 1.0) -> LkProfile:
     the support is unbounded above.  Ratios are proportional to C(n - 1, k)
     with r(n) = 0.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    binom_counts(n)  # checks 1 <= n <= MAX_BINOM_N before anything of size n is built
     if rate <= 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
     l = tuple(1.0 / (rate * (n - k)) for k in range(n)) + (math.inf,)
@@ -217,31 +217,6 @@ def _edf_weights(n: int) -> np.ndarray:
 
 # -- numeric profile ---------------------------------------------------------
 
-# Probe abscissas for endpoint behavior, and the log-log slope at which the
-# tail is declared non-integrable.  The families here either diverge at least
-# as fast as 1/u (slope <= -0.95 after the slowly varying correction) or are
-# integrable with slope >= -0.5; the threshold sits between with wide margin.
-_PROBE_US = (1e-5, 1e-7, 1e-9)
-_DIVERGENCE_SLOPE = -0.95
-
-
-def _tail_slope(g, lower: bool) -> float:
-    vals = []
-    for u in _PROBE_US:
-        x = u if lower else 1.0 - u
-        v = g(x)
-        if not math.isfinite(v) or v <= 0.0:
-            # Hitting 0 or overflow in the extreme tail means the integrand
-            # vanishes (integrable) or explodes (caught by the slope below).
-            return 0.0 if (math.isfinite(v) and v >= 0.0) else _DIVERGENCE_SLOPE
-        vals.append(math.log(v))
-    # slope of log g against log u, u -> 0 (mirrored for the upper tail)
-    slopes = []
-    for a in range(len(_PROBE_US) - 1):
-        du = math.log(_PROBE_US[a + 1]) - math.log(_PROBE_US[a])
-        slopes.append((vals[a + 1] - vals[a]) / du)
-    return min(slopes)
-
 
 def lk_numeric(dist: DistributionSpec, n: int, k: int) -> float:
     """Expected spacing l(k) under ``dist`` by adaptive quadrature.
@@ -250,15 +225,19 @@ def lk_numeric(dist: DistributionSpec, n: int, k: int) -> float:
 
         l(k) = C(n, k) * integral_0^1 u^k (1 - u)^(n-k) / f(Q(u)) du,
 
-    with Q the quantile function of ``dist``.  Non-integrable tails (an
-    unbounded support end, or a tail too heavy for the order statistic mean
-    to exist) are detected from the endpoint behavior of the integrand and
-    reported as +inf.
+    with Q the quantile function of ``dist``.  Before any quadrature, l(k) is
+    +inf exactly when an unbounded support end has too heavy a tail: with
+    F ~ |x|^-nu there (nu = ``dist.tail_index``), the x-space integrand
+    F^k (1 - F)^(n-k) is integrable below iff k > 1/nu, above iff n - k > 1/nu.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"k must be in 0..{n}, got {k}")
+    lo, hi = dist.support
+    inv_nu = 1 / dist.tail_index  # compared with k, not multiplied: 0 * inf is nan
+    if (lo == -math.inf and k <= inv_nu) or (hi == math.inf and n - k <= inv_nu):
+        return math.inf
 
     def g(u: float) -> float:
         q = dist.quantile(u)
@@ -266,19 +245,6 @@ def lk_numeric(dist: DistributionSpec, n: int, k: int) -> float:
         if den <= 0.0:
             return math.inf
         return u ** k * (1.0 - u) ** (n - k) / den
-
-    if k == 0:
-        lo_div = not math.isfinite(dist.support[0]) or _tail_slope(g, True) <= _DIVERGENCE_SLOPE
-    else:
-        lo_div = _tail_slope(g, True) <= _DIVERGENCE_SLOPE
-    if lo_div:
-        return math.inf
-    if k == n:
-        hi_div = not math.isfinite(dist.support[1]) or _tail_slope(g, False) <= _DIVERGENCE_SLOPE
-    else:
-        hi_div = _tail_slope(g, False) <= _DIVERGENCE_SLOPE
-    if hi_div:
-        return math.inf
 
     # Imported here, its only use, so importing the package does not load it.
     from scipy import integrate

@@ -12,6 +12,7 @@ import hashlib
 import math
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ import pytest
 from mediancr.cli import main
 from mediancr.distributions import (
     RngStream,
-    binom_cdf,
     binom_pmf_fraction,
     exponential,
     logistic,
@@ -202,18 +202,12 @@ def test_count_region_coverage_exact_and_simulated():
     for alpha in (0.01, 0.05, 0.10):
         target = Fraction(1) - Fraction(alpha)
         for n in range(1, 61):
-            k1 = -1
-            for w in range(n + 1):
-                if binom_cdf(w, n) <= alpha / 2.0:
-                    k1 = w
-                else:
-                    break
-            k2 = n
-            for w in range(n + 1):
-                if binom_cdf(w, n) >= 1.0 - alpha / 2.0:
-                    k2 = w
-                    break
-            cover = sum(binom_pmf_fraction(k, n) for k in range(k1 + 1, k2 + 1))
+            # Oracle: the exact Binomial(n, 1/2) law from math.comb.
+            pmf = [Fraction(math.comb(n, k), 2 ** n) for k in range(n + 1)]
+            cdf = list(accumulate(pmf))
+            k1 = max((w for w in range(n + 1) if cdf[w] <= Fraction(alpha) / 2), default=-1)
+            k2 = min(w for w in range(n + 1) if cdf[w] >= 1 - Fraction(alpha) / 2)
+            cover = sum(pmf[k1 + 1:k2 + 1])
             assert cover >= target, (n, alpha)
     dists = study_distributions()
     cfg = SimConfig(

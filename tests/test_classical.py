@@ -24,7 +24,6 @@ from mediancr.classical import (
 )
 from mediancr.distributions import (
     RngStream,
-    binom_cdf,
     binom_counts,
     norm_quantile,
     normal,
@@ -155,22 +154,12 @@ def test_sign_region_tiny_n_unbounded_never_infeasible():
 
 @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
 def test_sign_region_exact_coverage_at_least_nominal(alpha):
-    # Coverage equals the binomial mass of the admitted counts.
+    # Coverage equals the binomial mass of the admitted counts k1 < B <= k2,
+    # summed exactly from math.comb.
     for n in range(1, 61):
-        k1 = -1
-        for w in range(n + 1):
-            if binom_cdf(w, n) <= alpha / 2.0:
-                k1 = w
-            else:
-                break
-        k2 = n
-        for w in range(n + 1):
-            if binom_cdf(w, n) >= 1.0 - alpha / 2.0:
-                k2 = w
-                break
-        low = binom_cdf(k1, n) if k1 >= 0 else 0.0
-        cover = binom_cdf(k2, n) - low
-        assert cover >= 1.0 - alpha - 1e-12
+        k1, k2 = sign_scan_window(exact_binom_cdf(n), alpha)
+        cover = sum(Fraction(math.comb(n, k), 2 ** n) for k in range(k1 + 1, k2 + 1))
+        assert cover >= 1 - Fraction(alpha), n
 
 
 # ---------------------------------------------------------------------------

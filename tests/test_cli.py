@@ -70,6 +70,14 @@ def test_table_usage_error(capsys):
     assert main(["table", "--n", "0"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("focus", ["uniform", "exponential"])
+def test_table_size_cap_names_n(capsys, focus):
+    assert main(["table", "--n", "3000000", "--focus", focus]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith("got 3000000")
+
+
 # ---------------------------------------------------------------------------
 # cr
 # ---------------------------------------------------------------------------
@@ -234,6 +242,21 @@ def test_cr_tied_data_suggests_jitter(tmp_path, capsys):
     p.write_text("1 1 2 3 4 5 6 7 8 9")
     assert main(["cr", "--input", str(p), "--methods", "12"]) == EXIT_DATA
     assert "consider --jitter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, method, message", [
+    ("5", 1, "need n >= 2, got 1"),
+    ("5 7", 12, "need n >= 3, got 2"),
+])
+def test_cr_too_few_observations_exits_without_jitter_hint(tmp_path, capsys, data, method,
+                                                            message):
+    # Jittering cannot add observations, so the hint would mislead.
+    p = tmp_path / "few.txt"
+    p.write_text(data)
+    assert main(["cr", "--input", str(p), "--methods", str(method)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err
+    assert "jitter" not in err
 
 
 def test_cr_unsupported_size_exits_without_jitter_hint(tmp_path, capsys):

@@ -14,9 +14,7 @@ from mediancr.distributions import (
     _brentq,
     binom_cdf,
     binom_counts,
-    binom_pmf,
     binom_pmf_fraction,
-    binom_quantile,
     cauchy,
     exponential,
     gamma,
@@ -55,14 +53,13 @@ def test_binom_pmf_matches_pascal_oracle(n):
     oracle = pascal_pmf(n)
     for k in range(n + 1):
         assert binom_pmf_fraction(k, n) == oracle[k]
-        assert binom_pmf(k, n) == float(oracle[k])
 
 
 def test_binom_pmf_known_values():
-    assert binom_pmf(5, 10) == 0.2460937500
-    assert binom_pmf(0, 10) == 0.0009765625
-    assert binom_pmf(0, 1) == 0.5
-    assert binom_pmf(1, 1) == 0.5
+    assert binom_pmf_fraction(5, 10) == Fraction(252, 1024)
+    assert binom_pmf_fraction(0, 10) == Fraction(1, 1024)
+    assert binom_pmf_fraction(0, 1) == Fraction(1, 2)
+    assert binom_pmf_fraction(1, 1) == Fraction(1, 2)
 
 
 def test_binom_pmf_symmetry_and_mass():
@@ -93,27 +90,10 @@ def test_binom_cdf_monotone():
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def test_binom_quantile_examples_and_edges():
-    assert binom_quantile(0.975, 10) == 8
-    assert binom_quantile(1.0, 10) == 10
-    assert binom_quantile(0.0, 10) == 0
-    assert binom_quantile(0.5, 10) == 5
-
-
-@pytest.mark.parametrize("n", [3, 10, 41, 1000])
-def test_binom_quantile_is_left_inverse_of_cdf(n):
-    for p100 in range(1, 100):
-        p = p100 / 100
-        k = binom_quantile(p, n)
-        assert binom_cdf(k, n) >= p
-        if k > 0:
-            assert binom_cdf(k - 1, n) < p
-
-
 def test_binom_large_n_no_overflow():
     # Oracle: mpmath binomial(1000, 500) / 2**1000 = 0.0252250181783608019...
-    assert binom_pmf(500, 1000) == pytest.approx(0.025225018178, rel=1e-9)
-    assert binom_quantile(0.5, 1000) == 500
+    assert float(binom_pmf_fraction(500, 1000)) == pytest.approx(0.025225018178, rel=1e-9)
+    assert binom_cdf(499, 1000) < 0.5 <= binom_cdf(500, 1000)
 
 
 def test_binom_counts_equal_math_comb_for_every_n():
@@ -124,23 +104,22 @@ def test_binom_counts_equal_math_comb_for_every_n():
 
 
 def test_binom_domain_errors():
-    with pytest.raises(ValueError):
-        binom_pmf(11, 10)
-    with pytest.raises(ValueError):
-        binom_pmf(-1, 10)
-    with pytest.raises(ValueError):
-        binom_pmf(0, 0)
-    with pytest.raises(ValueError):
-        binom_quantile(1.5, 10)
+    for call in (binom_pmf_fraction, binom_cdf):
+        with pytest.raises(ValueError):
+            call(11, 10)
+        with pytest.raises(ValueError):
+            call(-1, 10)
+        with pytest.raises(ValueError):
+            call(0, 0)
 
 
 def test_binom_size_cap_is_unsupported_size():
     # Above MAX_BINOM_N the tables are a size limit, not bad input.
-    for call in (binom_pmf, binom_cdf):
+    for call in (binom_pmf_fraction, binom_cdf):
         with pytest.raises(UnsupportedSizeError):
             call(0, 1001)
     with pytest.raises(UnsupportedSizeError):
-        binom_quantile(0.5, 1001)
+        binom_counts(1001)
     # Below 1 and non-integers stay plain ValueErrors.
     for call in (lambda: binom_cdf(0, 0), lambda: binom_cdf(0, 2.5)):
         with pytest.raises(ValueError) as info:
@@ -377,6 +356,8 @@ def test_constructor_validation():
         weibull(0.5, -1.0)
     with pytest.raises(ValueError):
         normal_mixture(1.0, 0.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="unknown family 'bogus'"):
+        DistributionSpec("bogus", ())
 
 
 def test_labels_are_csv_safe():

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,11 +13,7 @@ from hypothesis import strategies as st
 from mediancr.classical import cr_sign
 from mediancr.distributions import (
     RngStream,
-    binom_cdf,
     binom_counts,
-    binom_pmf,
-    binom_pmf_fraction,
-    binom_quantile,
     sample,
     normal,
 )
@@ -280,6 +277,11 @@ def test_conservative_region_is_envelope():
 # ---------------------------------------------------------------------------
 
 
+def exact_pmf(n):
+    """Oracle: P{B = k}, k = 0..n, for B ~ Binomial(n, 1/2), from math.comb."""
+    return [Fraction(math.comb(n, k), 2 ** n) for k in range(n + 1)]
+
+
 def two_sided_randomized(sample, alpha, u):
     """Direct construction: central binomial interval, randomize the widening.
 
@@ -287,11 +289,13 @@ def two_sided_randomized(sample, alpha, u):
     from (x_(k1+1), x_(k2)) to (x_(k1), x_(k2+1)) with probability gamma.
     """
     n = sample.n
-    k2 = binom_quantile(1.0 - alpha / 2.0, n)
+    pmf = exact_pmf(n)
+    cdf = list(accumulate(pmf))
+    k2 = next(k for k in range(n + 1) if cdf[k] >= 1 - Fraction(alpha) / 2)
     k1 = n - k2
     assert k1 < k2
-    p_open = binom_cdf(k2 - 1, n) - binom_cdf(k1, n)
-    gamma = ((1.0 - alpha) - p_open) / (2.0 * binom_pmf(k2, n))
+    p_open = cdf[k2 - 1] - cdf[k1]
+    gamma = float((1 - Fraction(alpha) - p_open) / (2 * pmf[k2]))
     if u <= gamma:
         iv = Interval(sample.order_stat(k1), sample.order_stat(k2 + 1))
     else:
@@ -348,14 +352,15 @@ def test_selection_equals_mom_selection_on_equal_spacings():
 
 
 def random_feasible_count_set(n, alpha, gen):
+    pmf = exact_pmf(n)
     ks = set(int(k) for k in np.flatnonzero(gen.random(n + 1) < 0.4))
-    mass = sum(binom_pmf_fraction(k, n) for k in ks)
+    mass = sum(pmf[k] for k in ks)
     target = Fraction(1) - Fraction(alpha)
-    remaining = sorted(set(range(n + 1)) - ks, key=lambda k: -binom_pmf(k, n))
+    remaining = sorted(set(range(n + 1)) - ks, key=lambda k: -pmf[k])
     while mass < target and remaining:
         k = remaining.pop(0)
         ks.add(k)
-        mass += binom_pmf_fraction(k, n)
+        mass += pmf[k]
     return ks
 
 

@@ -13,7 +13,6 @@ from mediancr.regions import (
     SortedSample,
     make_sample,
     region_from_gamma0,
-    region_from_strings,
 )
 
 
@@ -83,9 +82,6 @@ def test_serialization_round_trip():
     r = Region((Interval(-math.inf, -1.5), Interval(0.1, 2.0, closed_hi=True)))
     toks = r.to_strings()
     assert toks == ["[-inf:-1.5)", "[0.1:2.0]"]
-    assert region_from_strings(toks) == r
-    with pytest.raises(ValueError):
-        region_from_strings(["(0,1)"])
 
 
 def test_to_jsonable_uses_inf_tokens():

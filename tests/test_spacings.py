@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,6 @@ from hypothesis import strategies as st
 import mediancr
 from mediancr.distributions import (
     RngStream,
-    binom_pmf,
     cauchy,
     exponential,
     logistic,
@@ -78,7 +79,21 @@ def test_exact_ratios_are_binomial_coefficients(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 57, 200, 999, 1000])
 def test_binomial_pmf_table_equals_binom_pmf(n):
-    assert _binom_pmfs(n) == tuple(binom_pmf(k, n) for k in range(n + 1))
+    # Oracle: C(n, k) / 2**n from math.comb, rounded once by Fraction.
+    assert _binom_pmfs(n) == tuple(float(Fraction(math.comb(n, k), 2 ** n)) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("profile", [lk_uniform, lk_exponential])
+def test_closed_form_profile_checks_size_before_allocating(profile):
+    n = 2_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedSizeError, match=f"got {n}$"):
+            profile(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_profile_ratio_floats_follow_exact():
@@ -158,7 +173,7 @@ def edf_reference(values):
             p = (i - 1) / n
             acc += (1.0 - p) ** (n - k) * p ** k * (values[i - 1] - values[i - 2])
         l.append(math.comb(n, k) * acc)
-    # C(n, k) / 2**n is int / int, so correctly rounded like binom_pmf.
+    # C(n, k) / 2**n is int / int, so correctly rounded like the pmf table.
     ratio = [math.inf if v == 0.0 else math.comb(n, k) / 2 ** n / v for k, v in enumerate(l)]
     return tuple(l), tuple(ratio)
 
@@ -290,6 +305,34 @@ def test_numeric_divergence_flags():
     lgt = logistic()
     assert lk_numeric(lgt, 6, 0) == math.inf
     assert math.isfinite(lk_numeric(lgt, 6, 1))
+
+
+# The hand-written sets of k with l(k) = +inf: Cauchy tails (F ~ 1/|x|) need
+# k >= 2 and n - k >= 2; the other unbounded tails fail only at the outermost
+# spacing; bounded ends never diverge.
+INFINITE_SPACINGS = {
+    "cauchy": lambda n: {k for k in range(n + 1) if not 2 <= k <= n - 2},
+    "normal": lambda n: {0, n},
+    "logistic": lambda n: {0, n},
+    "mixture": lambda n: {0, n},
+    "gamma": lambda n: {n},
+    "weibull": lambda n: {n},
+    "exponential": lambda n: {n},
+    "uniform": lambda n: set(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_SPACINGS))
+def test_numeric_infinite_spacings_match_tail_sets(name, monkeypatch):
+    from scipy import integrate
+
+    # Only which spacings are infinite is under test, so the quadrature of the
+    # finite ones is replaced by a constant.
+    monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: (1.0, 0.0))
+    dist = {**study_distributions(), "exponential": exponential(1.0)}[name]
+    for n in range(1, 41):
+        got = {k for k in range(n + 1) if lk_numeric(dist, n, k) == math.inf}
+        assert got == INFINITE_SPACINGS[name](n), (name, n)
 
 
 def test_numeric_profile_shape():
