@@ -71,9 +71,8 @@ def cr_t(sample: SortedSample, alpha: float) -> Region:
     n = sample.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    arr = sample.as_array()
-    mean = float(np.mean(arr))
-    sd = float(np.std(arr, ddof=1))
+    mean = float(np.mean(sample.as_array()))
+    sd = sample.sd
     if sd == 0.0:
         return _closed(mean, mean)
     half = t_quantile(1.0 - alpha / 2.0, n - 1) * sd / math.sqrt(n)
@@ -89,6 +88,15 @@ def _lower_cutoff(n: int, alpha: float) -> int:
     """
     return bisect.bisect_left(range(n * (n + 1) // 2 + 1), True,
                               key=lambda w: signed_rank_null_cdf(w, n) > alpha / 2.0) - 1
+
+
+@lru_cache(maxsize=None)
+def _triu_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n)``, read-only so that every caller can share it."""
+    i, j = np.triu_indices(n)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
 
 
 def cr_wilcoxon(sample: SortedSample, alpha: float) -> Region:
@@ -116,7 +124,7 @@ def cr_wilcoxon(sample: SortedSample, alpha: float) -> Region:
     # Halving first cannot overflow, and gives the same floats as (x_i + x_j) / 2
     # for all data but subnormals.
     half = sample.as_array() * 0.5
-    i, j = np.triu_indices(n)
+    i, j = _triu_pair(n)
     walsh = half[i] + half[j]
     # Only the two window ends are needed, not the whole sorted Walsh sample.
     walsh = np.partition(walsh, (k1, k2))
@@ -135,6 +143,21 @@ def cr_sign(sample: SortedSample, alpha: float) -> Region:
     return conservative_region(sample, symmetric_selection(sample, alpha))
 
 
+def _quartile(sample: SortedSample, q: float) -> float:
+    """``np.percentile(sample, 100 * q)`` for q in {0.25, 0.75}, read off the sorted values.
+
+    The same float operations as numpy's default linear method: the virtual
+    index (n - 1) * q is exact, and its ``_lerp`` takes whichever of its two
+    interpolation formulas is exact at the nearer end.
+    """
+    v = (sample.n - 1) * q
+    lo = math.floor(v)
+    t = v - lo
+    a, b = sample.values[lo], sample.values[lo + 1]
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def kde_at_median(sample: SortedSample) -> float:
     """Gaussian kernel density estimate evaluated at the sample median.
 
@@ -144,13 +167,11 @@ def kde_at_median(sample: SortedSample) -> float:
     n = sample.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    arr = sample.as_array()
-    sd = float(np.std(arr, ddof=1))
-    q75, q25 = np.percentile(arr, [75.0, 25.0])
-    h = 0.9 * min(sd, (q75 - q25) / 1.34) * n ** (-0.2)
+    iqr = _quartile(sample, 0.75) - _quartile(sample, 0.25)
+    h = 0.9 * min(sample.sd, iqr / 1.34) * n ** (-0.2)
     if h <= 0.0:
         raise DegenerateDataError("zero bandwidth: sample has no usable spread")
-    z = (sample.median - arr) / h
+    z = (sample.median - sample.as_array()) / h
     return float(np.mean(np.exp(-0.5 * z * z)) / (h * math.sqrt(2.0 * math.pi)))
 
 
@@ -208,7 +229,7 @@ def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> Boots
     n = sample.n
     arr = sample.as_array()
     # int32 draws the same integers as the default int64 and sorts faster.
-    idx = np.sort(rng.generator().integers(0, n, size=(breps, n), dtype=np.int32), axis=1)
+    idx = np.sort(rng._rekeyed().integers(0, n, size=(breps, n), dtype=np.int32), axis=1)
     mid = n // 2
     # Summed from +0.0 as np.median does: -0.0 data give 0.0, an underflowed mean -0.0.
     med = 0.0 + arr[idx[:, mid]] if n % 2 else ((0.0 + arr[idx[:, mid - 1]]) + arr[idx[:, mid]]) / 2.0

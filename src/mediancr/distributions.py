@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -266,6 +267,8 @@ class _Family(NamedTuple):
     tail_index: float = math.inf
     # (gen, n, *params), for a family whose variates are not one quantile per uniform.
     draw: Callable | None = None
+    # (*params) -> the median, where quantile(0.5) does not round it correctly.
+    median: Callable | None = None
 
 
 def _normal_pdf(x, mu, sigma):
@@ -302,6 +305,13 @@ def _weibull_pdf(x, shape, scale):
             (shape / scale) * z ** (shape - 1.0) * np.exp(-(z ** shape)),
             0.0,
         )
+
+
+def _uniform_median(a, b):
+    # Halving is exact, so this is the correctly rounded midpoint; a + (b - a) / 2 is
+    # not.  When a + b overflows, both halves are exact and their sum is rounded once.
+    mid = 0.5 * (a + b)
+    return mid if math.isfinite(mid) else 0.5 * a + 0.5 * b
 
 
 def _mixture_cdf(x, w1, m1, s1, m2, s2):
@@ -350,6 +360,7 @@ _FAMILIES: dict[str, _Family] = {
         pdf=lambda x, a, b: np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0),
         quantile=lambda u, a, b: a + (b - a) * u,
         support=lambda a, b: (a, b),
+        median=_uniform_median,
     ),
     "logistic": _Family(
         cdf=lambda x, mu, s: _special.expit((x - mu) / s),
@@ -426,8 +437,9 @@ class DistributionSpec:
         return self._call(_FAMILIES[self.family].quantile, p)
 
     def true_median(self) -> float:
-        """The median, read off the quantile function at 1/2."""
-        return self.quantile(0.5)
+        """The median: the family's own formula where it has one, else quantile(1/2)."""
+        median = _FAMILIES[self.family].median
+        return median(*self.params) if median is not None else self.quantile(0.5)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -514,16 +526,28 @@ def study_distributions() -> dict[str, DistributionSpec]:
 # ---------------------------------------------------------------------------
 
 
+# One Philox per thread for the library's own draws.  Each draw re-keys it to
+# the start of its stream, which costs a tenth of constructing a generator and
+# gives the same variates; only the thread's current stream is ever live.
+_SHARED = threading.local()
+_PHILOX_ZERO = np.zeros(4, dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A reproducible random stream identified by (master_seed, stream_key).
 
     The value is a recipe, not a live generator: ``generator()`` always
-    returns a generator positioned at the start of the same sequence.  Two
-    different consumers must therefore use child streams with distinct keys
-    (``child("data")``, ``child("boot")``, ...) rather than share one value.
-    Key components may be ints or strings; both hash deterministically across
-    platforms and processes.
+    returns a new, independent generator positioned at the start of the same
+    sequence.  Two different consumers must therefore use child streams with
+    distinct keys (``child("data")``, ``child("boot")``, ...) rather than share
+    one value.  Key components may be ints or strings; both hash
+    deterministically across platforms and processes.
+
+    The library's internal draws (``uniform``, ``sample`` and the bootstrap
+    resamples) do not construct a generator: they re-key one per-thread Philox
+    to the start of the stream, draw everything they need, and return.  The
+    variates are those ``generator()`` would give.
     """
 
     master_seed: int
@@ -532,7 +556,7 @@ class RngStream:
     def child(self, *parts) -> "RngStream":
         return RngStream(self.master_seed, self.stream_key + tuple(parts))
 
-    def generator(self) -> np.random.Generator:
+    def _key(self) -> np.ndarray:
         h = hashlib.sha256()
         h.update(f"i:{self.master_seed}".encode())
         for part in self.stream_key:
@@ -542,12 +566,35 @@ class RngStream:
                 h.update(b"\x1fs:" + part.encode())
             else:
                 raise ValueError(f"stream key parts must be int or str, got {part!r}")
-        key = np.frombuffer(h.digest()[:16], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.frombuffer(h.digest()[:16], dtype=np.uint64)
+
+    def generator(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self._key()))
+
+    def _rekeyed(self) -> np.random.Generator:
+        """This thread's shared generator, set to the start of this stream.
+
+        It stays at that position only until the next ``_rekeyed`` call in the
+        thread, so the caller must finish its draws before calling anything
+        else that draws.
+        """
+        gen = getattr(_SHARED, "gen", None)
+        if gen is None:
+            gen = _SHARED.gen = np.random.Generator(np.random.Philox(0))
+        # What Philox(key=...) starts from: counter 0, no buffered output.
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _PHILOX_ZERO, "key": self._key()},
+            "buffer": _PHILOX_ZERO,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
 
     def uniform(self) -> float:
         """One uniform draw from the head of the stream."""
-        return float(self.generator().random())
+        return float(self._rekeyed().random())
 
 
 def sample(dist: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
@@ -559,7 +606,7 @@ def sample(dist: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gen = rng.generator()
+    gen = rng._rekeyed()
     draw = _FAMILIES[dist.family].draw
     if draw is not None:
         return draw(gen, n, *dist.params)

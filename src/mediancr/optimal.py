@@ -97,6 +97,13 @@ def _ratio_groups(profile: LkProfile) -> list[tuple[float, list[int]]]:
     return groups
 
 
+@lru_cache(maxsize=None)
+def _target(n: int, alpha: float) -> tuple[Fraction, int]:
+    """The exact coverage target (1 - alpha) * 2**n and its floor."""
+    target = (1 - Fraction(alpha)) * (1 << n)
+    return target, math.floor(target)
+
+
 def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
     """Choose the admitted counts and randomization weight at level 1 - alpha.
 
@@ -120,7 +127,7 @@ def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
     # Masses are integer counts over 2**n, so the accounting below is exact.
     counts = binom_counts(n)
     scale = 1 << n
-    target = (1 - Fraction(alpha)) * scale
+    target, floor_target = _target(n, alpha)
     groups = _ratio_groups(profile)
 
     included: list[int] = []
@@ -129,7 +136,8 @@ def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
     tie_ks: list[int] = []
     for ratio, ks in groups:
         mass = sum(counts[k] for k in ks)
-        if cum + mass <= target:
+        # cum + mass is an integer, so it is <= target exactly when <= floor(target).
+        if cum + mass <= floor_target:
             included.extend(ks)
             cum += mass
         else:

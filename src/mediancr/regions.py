@@ -12,7 +12,8 @@ Order-statistic indexing is 1-based with two sentinel conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -28,9 +29,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SortedSample:
-    """An observed sample stored in ascending order."""
+    """An observed sample stored in ascending order.
+
+    ``array`` holds the same values as a read-only float64 array for numpy
+    work; it is built from ``values`` when not given.
+    """
 
     values: tuple[float, ...]
+    array: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.array is None:
+            arr = np.array(self.values, dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, "array", arr)
+
+    def __reduce__(self):
+        # Rebuilt from the values, so a copy's array is read-only too.
+        return SortedSample, (self.values,)
 
     @property
     def n(self) -> int:
@@ -53,8 +69,14 @@ class SortedSample:
             return self.values[mid]
         return 0.5 * (self.values[mid - 1] + self.values[mid])
 
+    @cached_property
+    def sd(self) -> float:
+        """Sample standard deviation (ddof=1), computed once; needs n >= 2."""
+        return float(np.std(self.array, ddof=1))
+
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        """The values as a read-only float64 array."""
+        return self.array
 
 
 def make_sample(data: Iterable[float]) -> SortedSample:
@@ -68,7 +90,9 @@ def make_sample(data: Iterable[float]) -> SortedSample:
         raise ValueError("data must be a non-empty one-dimensional collection")
     if not np.all(np.isfinite(arr)):
         raise ValueError("data must be finite")
-    return SortedSample(tuple(np.sort(arr).tolist()))
+    arr = np.sort(arr)
+    arr.flags.writeable = False
+    return SortedSample(tuple(arr.tolist()), arr)
 
 
 @dataclass(frozen=True)
@@ -148,21 +172,22 @@ def region_from_gamma0(sample: SortedSample, k_set: Iterable[int]) -> Region:
     pieces vanish and abutting pieces merge, so the invariants still hold.
     """
     n = sample.n
-    ks = sorted(set(int(k) for k in k_set))
+    ks = sorted({int(k) for k in k_set})
     if ks and (ks[0] < 0 or ks[-1] > n):
         raise ValueError(f"k_set must be within 0..{n}, got {ks}")
+    # x[k] is the k-th order statistic with both sentinels, as order_stat(k).
+    x = (-math.inf, *sample.values, math.inf)
     intervals: list[Interval] = []
-    i = 0
-    while i < len(ks):
-        j = i
-        while j + 1 < len(ks) and ks[j + 1] == ks[j] + 1:
-            j += 1
-        lo = sample.order_stat(ks[i])
-        hi = sample.order_stat(ks[j] + 1)
+    last = len(ks) - 1
+    start = 0
+    for i, k in enumerate(ks):
+        if i < last and ks[i + 1] == k + 1:
+            continue
+        lo, hi = x[ks[start]], x[k + 1]
+        start = i + 1
         if lo < hi:
             if intervals and intervals[-1].hi == lo:
                 intervals[-1] = Interval(intervals[-1].lo, hi)
             else:
                 intervals.append(Interval(lo, hi))
-        i = j + 1
     return Region(tuple(intervals))

@@ -388,3 +388,22 @@ def test_simulation_csv_frozen_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a6546b30237ecfb22962270e65fef3539614b738c5abe69c9e673662dca67a72"
     )
+
+
+def test_simulation_csv_frozen_digest_every_law():
+    """Every study law plus the exponential, through all 13 methods, keeps
+    its frozen CSV bytes: the mixture's two-uniform draw, Cauchy's and the
+    Weibull's heavy tails and the uniform's bounded support included."""
+    cfg = SimConfig(
+        distributions=tuple(study_distributions().values()) + (exponential(1.0),),
+        sample_sizes=(10, 11),
+        alpha=0.05,
+        reps=3,
+        breps=50,
+        methods=tuple(range(1, 14)),
+        master_seed=SEED,
+    )
+    text = results_to_csv(run_simulation(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "32258d155382269a4dc6a777c700612d5160a76b9d9e25d8029b8a8ec1dd3ed3"
+    )

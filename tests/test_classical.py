@@ -1,6 +1,7 @@
 """Classical intervals: t, signed rank, sign counts, asymptotic, bootstrap."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from mediancr.classical import (
     BOOTSTRAP_VARIANTS,
     BootstrapDistribution,
     ClampedProbabilityWarning,
+    _quartile,
+    _triu_pair,
     bootstrap_medians,
     cr_asymp_median,
     cr_bootstrap,
@@ -69,6 +72,18 @@ def test_t_interval_constant_data_collapses():
     assert r.content == 0.0
 
 
+def test_sample_sd_is_shared_and_equals_numpy():
+    # Methods 1 and 4 read one ddof=1 sd per sample; its value is np.std's.
+    data = [0.3, -1.2, 4.5, 2.2, 2.2, 0.0]
+    s = make_sample(data)
+    assert repr(s.sd) == repr(float(np.std(np.array(sorted(data)), ddof=1)))
+    assert s.__dict__["sd"] is s.sd
+    assert not s.as_array().flags.writeable
+    assert s == SortedSample(s.values) and hash(s) == hash(SortedSample(s.values))
+    copied = pickle.loads(pickle.dumps(s))
+    assert copied == s and not copied.as_array().flags.writeable
+
+
 def test_t_interval_domain():
     with pytest.raises(ValueError):
         cr_t(make_sample([1.0]), 0.05)
@@ -79,6 +94,17 @@ def test_t_interval_domain():
 # ---------------------------------------------------------------------------
 # Signed-rank region
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 31, 200])
+def test_triu_pair_is_numpy_triu_indices_and_read_only(n):
+    i, j = _triu_pair(n)
+    ei, ej = np.triu_indices(n)
+    np.testing.assert_array_equal(i, ei)
+    np.testing.assert_array_equal(j, ej)
+    assert i.dtype == ei.dtype and j.dtype == ej.dtype
+    assert not i.flags.writeable and not j.flags.writeable
+    assert _triu_pair(n)[0] is i
 
 
 def test_wilcoxon_smallest_feasible_case():
@@ -325,6 +351,44 @@ def test_kde_matches_hand_computation():
     assert kde_at_median(s) == pytest.approx(expect, rel=1e-12)
 
 
+TIED_VALUES = (-3.0, -0.0, 0.0, 1.0, 2.5)
+
+
+def percentile_kde(s):
+    """Oracle: the KDE at the median with the IQR from np.percentile."""
+    arr = s.as_array()
+    q75, q25 = np.percentile(arr, [75.0, 25.0])
+    h = 0.9 * min(float(np.std(arr, ddof=1)), (q75 - q25) / 1.34) * s.n ** (-0.2)
+    if h <= 0.0:
+        return "degenerate"
+    z = (s.median - arr) / h
+    return float(np.mean(np.exp(-0.5 * z * z)) / (h * math.sqrt(2.0 * math.pi)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(
+    st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from(TIED_VALUES)),
+    min_size=2, max_size=60,
+))
+@example(values=[-1e-300, 1e300])
+@example(values=[0.0, 0.0, -0.0, -1.0, 1.0, -0.0])
+def test_quartiles_equal_numpy_percentile(values):
+    # Oracle: numpy's default (linear) percentile of the sorted sample, to the
+    # last bit.  np.percentile partitions, which may bring either of two tied
+    # zeros to an index, so the sign of a zero quartile is normalized; the KDE
+    # reads only the difference q75 - q25, and a zero difference is degenerate
+    # whatever its sign, as the KDE check shows.
+    s = make_sample(values)
+    q75, q25 = np.percentile(s.as_array(), [75.0, 25.0])
+    assert repr(_quartile(s, 0.75) + 0.0) == repr(float(q75) + 0.0)
+    assert repr(_quartile(s, 0.25) + 0.0) == repr(float(q25) + 0.0)
+    try:
+        got = kde_at_median(s)
+    except DegenerateDataError:
+        got = "degenerate"
+    assert repr(got) == repr(percentile_kde(s))
+
+
 def test_kde_scale_law():
     base = kde_at_median(make_sample([1.0, 2.0, 4.0, 8.0, 9.0]))
     doubled = kde_at_median(make_sample([2.0, 4.0, 8.0, 16.0, 18.0]))
@@ -363,9 +427,6 @@ def test_bootstrap_medians_deterministic_and_sorted():
     assert b1.observed_median == s.median
     b3 = bootstrap_medians(s, 200, RngStream(3, ("boot2",)))
     assert b3 != b1
-
-
-TIED_VALUES = (-3.0, -0.0, 0.0, 1.0, 2.5)
 
 
 @st.composite

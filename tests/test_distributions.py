@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special
 
+from mediancr.classical import bootstrap_medians
 from mediancr.distributions import (
+    _FAMILIES,
     DistributionSpec,
     RngStream,
     _binom_tables,
@@ -30,6 +32,7 @@ from mediancr.distributions import (
     weibull,
 )
 from mediancr.errors import UnsupportedSizeError
+from mediancr.regions import make_sample
 
 ALL_SPECS = list(study_distributions().values()) + [exponential(1.0)]
 
@@ -275,6 +278,28 @@ def test_signed_rank_capability_bound():
 # ---------------------------------------------------------------------------
 
 
+def test_uniform_median_is_the_correctly_rounded_midpoint():
+    # Oracle: the exact midpoint of the two floats, rounded once by Fraction.
+    rng = np.random.default_rng(11)
+    pairs = [(-1.0, 1.0), (0.1, 0.7), (1e308, 1.7e308), (-1.7e308, -1e308), (5e-324, 1e-323)]
+    for _ in range(5000):
+        a, b = np.sort(rng.standard_normal(2) * 10.0 ** rng.integers(-300, 300, 2))
+        if a < b:
+            pairs.append((float(a), float(b)))
+    for a, b in pairs:
+        assert uniform(a, b).true_median() == float((Fraction(a) + Fraction(b)) / 2), (a, b)
+    # The sampler keeps its quantile a + (b - a) * u, which at 1/2 is one ulp off here.
+    assert uniform(0.1, 0.7).quantile(0.5) == 0.1 + (0.7 - 0.1) * 0.5
+    assert uniform(0.1, 0.7).quantile(0.5) != uniform(0.1, 0.7).true_median()
+
+
+def test_study_law_medians_keep_their_repr():
+    assert [repr(d.true_median()) for d in ALL_SPECS] == [
+        "0.0", "0.0", "0.0", "0.0", "1.6783469900166612", "0.4804530139182014",
+        "-2.099278874542355", "0.6931471805599453",
+    ]
+
+
 def test_true_median_closed_forms():
     assert weibull(0.5, 1.0).true_median() == pytest.approx(math.log(2.0) ** 2, rel=1e-12)
     assert weibull(0.5, 1.0).true_median() == pytest.approx(0.480453, abs=1e-6)
@@ -411,6 +436,47 @@ def test_sample_determinism_and_stream_separation():
     assert not np.array_equal(a, c)
     d = sample(normal(), 50, RngStream(124, ("cell", 4)))
     assert not np.array_equal(a, d)
+
+
+def fresh_sample(dist, n, rng):
+    """Oracle: ``sample`` on a generator of its own, built by ``generator()``."""
+    gen = rng.generator()
+    draw = _FAMILIES[dist.family].draw
+    if draw is not None:
+        return draw(gen, n, *dist.params)
+    return dist.quantile(np.maximum(gen.random(n), 2.0 ** -53))
+
+
+def test_shared_generator_draws_what_fresh_generators_draw():
+    # Interleaved internal draws re-key one shared generator; each must match
+    # a fresh generator for its own stream, whatever the previous draw left in
+    # the counter, the 64-bit buffer or the spare 32-bit half.
+    base = RngStream(31, ("interleave",))
+    data = make_sample(np.linspace(-2.0, 3.0, 7))
+    for i, dist in enumerate(ALL_SPECS * 2):
+        for n in (1, 3, 10):
+            rng = base.child(dist.label, n, i)
+            got = sample(dist, n, rng)
+            assert got.tobytes() == fresh_sample(dist, n, rng).tobytes(), (dist.label, n)
+            u = rng.child("rand").uniform()
+            assert repr(u) == repr(float(rng.child("rand").generator().random()))
+            # An odd breps * n leaves half of a 64-bit draw over, which the
+            # next stream must not see.
+            boot_rng = rng.child("boot")
+            boot = bootstrap_medians(data, n, boot_rng)
+            idx = boot_rng.generator().integers(0, data.n, size=(n, data.n), dtype=np.int32)
+            expected = np.sort(np.median(data.as_array()[np.sort(idx, axis=1)], axis=1))
+            assert boot.medians_array.tobytes() == expected.tobytes()
+
+
+def test_generator_is_fresh_and_independent():
+    rng = RngStream(5, ("own",))
+    gen = rng.generator()
+    head = gen.random(3)
+    sample(normal(), 4, RngStream(6))  # re-keys the shared generator, not gen
+    np.testing.assert_array_equal(rng.generator().random(6)[3:], gen.random(3))
+    assert rng.generator() is not rng.generator()
+    assert head[0] == rng.uniform()
 
 
 def test_stream_key_types_distinguished():

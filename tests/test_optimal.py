@@ -209,6 +209,15 @@ def test_selection_matches_fraction_reference_on_closed_form_profiles():
             alphas = [rng.random() for _ in range(3)]
             alphas += [2.0 ** -rng.uniform(n - 2, n + 4),
                        float(1 - Fraction(math.comb(n, n // 2), 2 ** n))]
+            if n <= 50:
+                # (1 - alpha) * 2**n exactly at an admitted prefix mass (the
+                # remainder-zero branch), half a count below it (the group
+                # must become the tie group), and at a random integer.
+                cum = list(accumulate(sum(math.comb(n, k) for k in ks)
+                                      for _, ks in _ratio_groups(prof)))
+                for c in rng.sample(cum, min(3, len(cum))):
+                    alphas += [1 - c / 2 ** n, 1 - (c - 0.5) / 2 ** n]
+                alphas.append(rng.randrange(1, 2 ** n) / 2 ** n)
             for alpha in alphas:
                 if not 0.0 < alpha < 1.0:
                     continue
@@ -229,6 +238,19 @@ def test_selection_matches_fraction_reference_on_closed_form_profiles():
 def test_selection_matches_fraction_reference_on_mom_profiles(values, alpha):
     prof = lk_mom(make_sample(values))
     assert selection_fields(prof, alpha) == reference_selection(prof, alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=3, max_size=40, unique=True),
+    data=st.data(),
+)
+def test_selection_matches_fraction_reference_at_natural_levels(values, data):
+    # alpha = m / 2**n makes the target (1 - alpha) * 2**n an integer.
+    n = len(values)
+    alpha = data.draw(st.integers(1, 2 ** n - 1)) / 2 ** n
+    for prof in (lk_mom(make_sample(values)), lk_edf(make_sample(values))):
+        assert selection_fields(prof, alpha) == reference_selection(prof, alpha)
 
 
 # ---------------------------------------------------------------------------

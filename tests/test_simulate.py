@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from mediancr.distributions import (
@@ -224,3 +225,24 @@ def test_full_method_panel_runs_on_study_grid_cell():
         assert row.failures + row.infinite_count <= row.reps
         if not math.isnan(row.coverage):
             assert 0.0 <= row.coverage <= 1.0
+
+
+def test_warm_replication_constructs_no_bit_generator(monkeypatch):
+    # A replication re-keys one shared Philox for its data, bootstrap and
+    # randomizer draws.  Once the cell is warm, constructing a generator per
+    # draw would show up here as a construction.
+    dist, methods = study_distributions()["mixture"], tuple(range(1, 14))
+    replicate(dist, 10, 0.05, methods, 50, RngStream(4, (dist.label, 10, 0)))
+    constructed = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        constructed.append(args or kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    out = replicate(dist, 10, 0.05, methods, 50, RngStream(4, (dist.label, 10, 1)))
+    assert sorted(out) == list(methods)
+    assert constructed == []
+    RngStream(4).generator()  # the guard does see a construction
+    assert len(constructed) == 1
