@@ -158,19 +158,58 @@ def t_quantile(p: float, df: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Signed-rank counts are base-2**48 limbs in uint64: a polynomial step at most doubles a
+# limb, so 14 steps from normalized limbs stay below 2**62.
+_LIMB_BITS = 48
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_STEPS_PER_CARRY = 14
+
+
+def _carry(c: np.ndarray) -> None:
+    """Normalize limbs in place: every limb but the top one ends below 2**48."""
+    for i in range(len(c) - 1):
+        c[i + 1] += c[i] >> _LIMB_BITS
+        c[i] &= _LIMB_MASK
+
+
 @lru_cache(maxsize=None)
-def _signed_rank_prefix(n: int) -> tuple[int, ...]:
-    # 2**n * P{W+ <= w} for w = 0..top//2 (the law is symmetric, so half suffices):
-    # prefix sums of the coefficients of prod_j (1 + x**j), built in one int with a
-    # byte-aligned field per coefficient.  Counts are below 2**n, so fields never carry.
-    width, fields = n // 8 + 1, n * (n + 1) // 4 + 1
-    mask = (1 << (8 * width * fields)) - 1
-    poly = 1
+def _signed_rank_prefix(n: int) -> np.ndarray:
+    """2**n * P{W+ <= w} for w = 0..top//2, as base-2**48 limbs: a read-only
+    (limbs, top//2 + 1) uint64 array, limb i of entry w in row i.
+
+    The law is symmetric, so the lower half suffices.  The counts are the
+    coefficients of prod_{j=1}^{n} (1 + x**j), multiplied in one factor at a
+    time; each is below 2**n, so ceil(n / 48) limbs hold it.  A factor adds a
+    shifted copy to the live limbs and fields only, and carries run every 14
+    factors.  With every limb below 2**48, the prefix sum over at most 2**16
+    fields stays below 2**64, so the table is exact for n(n+1)/4 + 1 <= 2**16,
+    that is n <= 511 (MAX_SIGNED_RANK_N is 200).
+    """
+    fields = n * (n + 1) // 4 + 1
+    limbs = -(-n // _LIMB_BITS)
+    c = np.zeros((limbs, fields), dtype=np.uint64)
+    c[0, 0] = 1
     for j in range(1, n + 1):
-        poly = (poly + (poly << (8 * width * j))) & mask
-    raw = poly.to_bytes(width * fields, "little")
-    return tuple(accumulate(int.from_bytes(raw[i:i + width], "little")
-                            for i in range(0, len(raw), width)))
+        # Before this factor every coefficient is below 2**(j-1).
+        live = max(1, -(-(j - 1) // _LIMB_BITS))
+        hi = min(j * (j + 1) // 2, fields - 1)
+        if j <= hi:
+            c[:live, j:hi + 1] += c[:live, :hi + 1 - j]
+        if j % _STEPS_PER_CARRY == 0:
+            _carry(c)
+    _carry(c)
+    np.cumsum(c, axis=1, out=c)
+    _carry(c)
+    c.flags.writeable = False
+    return c
+
+
+def _signed_rank_count(prefix: np.ndarray, w: int) -> int:
+    """Entry w of the limb table as one Python int."""
+    value = 0
+    for limb in prefix[::-1, w].tolist():
+        value = (value << _LIMB_BITS) | limb
+    return value
 
 
 def signed_rank_null_cdf(w: int, n: int) -> float:
@@ -188,10 +227,10 @@ def signed_rank_null_cdf(w: int, n: int) -> float:
     if not 0 <= w <= top:
         raise ValueError(f"w must be in 0..{top}, got {w}")
     prefix = _signed_rank_prefix(n)
-    if w < len(prefix):
-        return prefix[w] / (1 << n)
+    if w < prefix.shape[1]:
+        return _signed_rank_count(prefix, w) / (1 << n)
     # Symmetry W+ ~ top - W+ gives P{W+ <= w} = 1 - P{W+ <= top - 1 - w}.
-    return ((1 << n) - (prefix[top - 1 - w] if w < top else 0)) / (1 << n)
+    return ((1 << n) - (_signed_rank_count(prefix, top - 1 - w) if w < top else 0)) / (1 << n)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,13 @@ draw u; ``methods.METHODS`` pairs each builder with it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain
+
+import numpy as np
 
 from .distributions import binom_counts
 from .errors import InfeasibleLevelError
@@ -71,30 +75,46 @@ class Gamma0Selection:
     p_tie: float
 
 
-def _ratio_groups(profile: LkProfile) -> list[tuple[float, list[int]]]:
-    """Equal-ratio groups with positive ratio, ordered by decreasing ratio."""
+def _ratio_groups(profile: LkProfile) -> tuple[list[float], list[int], list[int]]:
+    """Equal-ratio groups with positive ratio, ordered by decreasing ratio.
+
+    Returns (ratios, ks, ends): ``ks`` lists the counts group after group,
+    group g is ks[ends[g - 1]:ends[g]] (from 0 for g = 0) and ratios[g] is
+    its ratio.
+    """
     if profile.is_exact:
         by_val: dict[int, list[int]] = {}
         for k, rv in enumerate(profile.exact_ratio):
             if rv > 0:
                 by_val.setdefault(rv, []).append(k)
-        return [(float(profile.ratio[ks[0]]), ks)
-                for rv, ks in sorted(by_val.items(), key=lambda t: -t[0])]
-    order = sorted((k for k in range(profile.n + 1) if profile.ratio[k] > 0.0),
-                   key=lambda k: (-profile.ratio[k], k))
-    groups: list[tuple[float, list[int]]] = []
-    for k in order:
-        r = profile.ratio[k]
-        if groups:
-            head = groups[-1][0]
+        groups = [ks for _, ks in sorted(by_val.items(), key=lambda t: -t[0])]
+        return ([float(profile.ratio[ks[0]]) for ks in groups],
+                list(chain.from_iterable(groups)), list(accumulate(map(len, groups))))
+    ratio = np.array(profile.ratio)
+    # Decreasing ratio, ties by count; the zero (and nan) ratios sort last.
+    order = np.argsort(-ratio, kind="stable")[:np.count_nonzero(ratio > 0.0)]
+    desc = ratio[order]
+    ks, rs = order.tolist(), desc.tolist()
+    # Sorted, so head - r >= 0 below; every ratio is finite when the first is.
+    if not rs or (math.isfinite(rs[0]) and not (
+            desc[:-1] - desc[1:] <= RATIO_TIE_RTOL * desc[:-1]).any()):
+        # Each ratio is outside the tolerance of the one before it, so the
+        # loop below would start a new group at every count.
+        return rs, ks, list(range(1, len(ks) + 1))
+    ratios: list[float] = []
+    ends: list[int] = []
+    for i, r in enumerate(rs):
+        if ratios:
+            head = ratios[-1]
             same = (math.isinf(head) and math.isinf(r)) or (
                 math.isfinite(head) and abs(head - r) <= RATIO_TIE_RTOL * head
             )
             if same:
-                groups[-1][1].append(k)
+                ends[-1] = i + 1
                 continue
-        groups.append((r, [k]))
-    return groups
+        ratios.append(r)
+        ends.append(i + 1)
+    return ratios, ks, ends
 
 
 @lru_cache(maxsize=None)
@@ -128,21 +148,19 @@ def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
     counts = binom_counts(n)
     scale = 1 << n
     target, floor_target = _target(n, alpha)
-    groups = _ratio_groups(profile)
-
-    included: list[int] = []
-    cum = 0
-    tie_ratio = 0.0
-    tie_ks: list[int] = []
-    for ratio, ks in groups:
-        mass = sum(counts[k] for k in ks)
-        # cum + mass is an integer, so it is <= target exactly when <= floor(target).
-        if cum + mass <= floor_target:
-            included.extend(ks)
-            cum += mass
-        else:
-            tie_ratio, tie_ks = ratio, ks
-            break
+    ratios, ks, ends = _ratio_groups(profile)
+    running = list(accumulate(map(counts.__getitem__, ks)))
+    # Masses are positive, so the running mass rises and the admitted groups are
+    # those that end where it is still <= target; it is an integer, so exactly
+    # where it is <= floor(target).
+    admitted = bisect_right(ends, bisect_right(running, floor_target))
+    start = ends[admitted - 1] if admitted else 0
+    included = ks[:start]
+    cum = running[start - 1] if start else 0
+    if admitted < len(ends):
+        tie_ratio, tie_ks = ratios[admitted], ks[start:ends[admitted]]
+    else:
+        tie_ratio, tie_ks = 0.0, []
 
     if not tie_ks and cum < target:
         raise InfeasibleLevelError(
@@ -160,7 +178,7 @@ def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
             c=tie_ratio, gamma=0.0,
             p_included=cum / scale, p_tie=0.0,
         )
-    tie_mass = sum(counts[k] for k in tie_ks)
+    tie_mass = running[ends[admitted] - 1] - cum
     gamma = float(remainder / tie_mass)
     return Gamma0Selection(
         n=n, alpha=alpha,

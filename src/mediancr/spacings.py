@@ -88,24 +88,29 @@ class LkProfile:
             raise ValueError("spacings and ratios must be nonnegative")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=None)
-def _binom_pmfs(n: int) -> tuple[float, ...]:
+def _binom_pmfs(n: int) -> np.ndarray:
     # int / int is correctly rounded, so each entry is binom_pmf(k, n).
     scale = 1 << n
-    return tuple(c / scale for c in binom_counts(n))
+    return _read_only(np.array([c / scale for c in binom_counts(n)]))
 
 
-def _ratios_from_l(n: int, l: tuple[float, ...]) -> tuple[float, ...]:
-    pmf = _binom_pmfs(n)
-    out = []
-    for k, lk in enumerate(l):
-        if math.isinf(lk):
-            out.append(0.0)
-        elif lk == 0.0:
-            out.append(math.inf)
-        else:
-            out.append(pmf[k] / lk)
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _float_counts(n: int) -> np.ndarray:
+    # float(C) is the conversion Python's int * float makes.
+    return _read_only(np.array([float(c) for c in binom_counts(n)]))
+
+
+def _ratios_from_l(n: int, l) -> tuple[float, ...]:
+    # pmf / inf is 0.0 and pmf / 0.0 is inf, as the scalar rule r(k) = pmf / l(k)
+    # gives; like Python's float division, neither that nor an overflow warns.
+    with np.errstate(divide="ignore", over="ignore"):
+        return tuple((_binom_pmfs(n) / np.asarray(l, dtype=float)).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -161,6 +166,11 @@ def lk_mom(sample: SortedSample) -> LkProfile:
     return LkProfile(n, l, _ratios_from_l(n, l))
 
 
+# Gaps per block of lk_edf: a full (n - 1) x (n + 1) product would be another
+# 8 MB at n = 1000.
+_EDF_BLOCK = 64
+
+
 def lk_edf(sample: SortedSample) -> LkProfile:
     """Plug-in profile: the spacing integral evaluated at the empirical CDF.
 
@@ -171,20 +181,33 @@ def lk_edf(sample: SortedSample) -> LkProfile:
     boundary counts may enter a selection.  Ties only shrink the affected
     terms; no error is raised.  Beyond the binomial tables (n > 1000) it
     raises UnsupportedSizeError.
+
+    Every l_hat(k) adds the same products in the same order as the formula
+    read left to right, so each entry is the float the scalar sum gives.  The
+    sum runs over blocks of at most 64 gaps: each block's weight rows times
+    their gaps go below the running sum in one buffer, and a reduction over
+    axis 0 adds the rows in order.
     """
     n = sample.n
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
-    counts = binom_counts(n)
+    counts = _float_counts(n)
     w = _edf_weights(n)
-    vals = sample.values
-    # Summed gap by gap, so every l_hat(k) adds the same products in the
-    # same order as the formula read left to right.
+    # The formula's gaps and its C(n, k) * sum are Python float arithmetic,
+    # which overflows to inf without a warning.
+    with np.errstate(over="ignore"):
+        gaps = np.diff(sample.as_array())
     acc = np.zeros(n + 1)
-    for i in range(2, n + 1):
-        acc += w[i - 2] * (vals[i - 1] - vals[i - 2])
-    l = tuple(c * a for c, a in zip(counts, acc.tolist()))
-    return LkProfile(n, l, _ratios_from_l(n, l))
+    buf = np.empty((min(n - 1, _EDF_BLOCK) + 1, n + 1))
+    for i0 in range(0, n - 1, _EDF_BLOCK):
+        i1 = min(i0 + _EDF_BLOCK, n - 1)
+        rows = buf[:i1 - i0 + 1]
+        rows[0] = acc
+        np.multiply(w[i0:i1], gaps[i0:i1, None], out=rows[1:])
+        np.add.reduce(rows, axis=0, out=acc)
+    with np.errstate(over="ignore"):
+        l = counts * acc
+    return LkProfile(n, tuple(l.tolist()), _ratios_from_l(n, l))
 
 
 # Each table is (n - 1) x (n + 1) doubles, 8 MB at n = 1000, so only the
@@ -211,8 +234,7 @@ def _edf_weights(n: int) -> np.ndarray:
     for i in range(2, n + 1):
         p = (i - 1) / n
         np.multiply(row(1.0 - p)[::-1], row(p), out=w[i - 2])
-    w.flags.writeable = False
-    return w
+    return _read_only(w)
 
 
 # -- numeric profile ---------------------------------------------------------

@@ -407,3 +407,22 @@ def test_simulation_csv_frozen_digest_every_law():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "32258d155382269a4dc6a777c700612d5160a76b9d9e25d8029b8a8ec1dd3ed3"
     )
+
+
+def test_simulation_csv_frozen_digest_rank_grid():
+    """The rank and adaptive methods at sizes that reach a multi-limb
+    signed-rank table (n = 50, 66, 130) and more than one 64-gap block of the
+    plug-in profile (n = 66, 130) keep their frozen CSV bytes."""
+    cfg = SimConfig(
+        distributions=tuple(study_distributions().values()),
+        sample_sizes=(50, 66, 130),
+        alpha=0.05,
+        reps=2,
+        breps=50,
+        methods=(2, 3, 10, 11, 12, 13),
+        master_seed=SEED,
+    )
+    text = results_to_csv(run_simulation(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b990f9b21a3fdf0bdcbeabb6941fb689abcdb9f53b1d1f4b064ca1ff5731f94c"
+    )

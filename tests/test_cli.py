@@ -145,6 +145,17 @@ def test_cr_csv_format(datafile, capsys):
     assert lines[2].startswith("10,[")
 
 
+def test_cr_subnormal_gap_adds_no_warning_flag(tmp_path, capsys):
+    # P{B = 1} / 5e-324 overflows to inf, which the ratio rule allows silently.
+    p = tmp_path / "subnormal.txt"
+    p.write_text("0 5e-324 1 2 3 4")
+    assert main(["cr", "--input", str(p), "--methods", "12,13", "--format", "csv",
+                 "--seed", "1"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["12", "13"]
+    assert all(row.split(",")[-1] == "" for row in rows)
+
+
 def test_cr_explain_csv(datafile, capsys):
     assert main(["cr", "--input", datafile, "--methods", "10", "--seed", "1",
                  "--format", "csv", "--explain"]) == EXIT_OK

@@ -14,6 +14,7 @@ from mediancr.distributions import (
     RngStream,
     _binom_tables,
     _brentq,
+    _signed_rank_prefix,
     binom_cdf,
     binom_counts,
     binom_pmf_fraction,
@@ -255,9 +256,13 @@ def test_signed_rank_cdf_examples():
 
 def test_signed_rank_large_n_mass_and_symmetry():
     # The oracle builds every coefficient, so the mirrored upper half of the
-    # CDF is checked against counts that do not assume symmetry.
-    for n in (56, 100, 200):
+    # CDF is checked against counts that do not assume symmetry.  The sizes
+    # include the carry schedule's (14, 28) and the limb count's (48, 49, 97,
+    # 145, 193) edges.
+    for n in (14, 28, 48, 49, 56, 97, 100, 145, 193, 200):
         assert_cdf_is_rounded_prefix(dp_signed_rank_counts(n), n)
+        table = _signed_rank_prefix(n)
+        assert int(table.max()) < 2 ** 48 and not table.flags.writeable
 
 
 def test_signed_rank_cdf_is_one_at_top():

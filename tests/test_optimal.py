@@ -30,7 +30,7 @@ from mediancr.optimal import (
     symmetric_selection,
 )
 from mediancr.regions import Interval, Region, make_sample
-from mediancr.spacings import lk_edf, lk_exponential, lk_mom, lk_uniform
+from mediancr.spacings import RATIO_TIE_RTOL, LkProfile, lk_edf, lk_exponential, lk_mom, lk_uniform
 
 # ---------------------------------------------------------------------------
 # Selection: frozen worked examples
@@ -160,12 +160,44 @@ def test_selection_alpha_domain():
 # ---------------------------------------------------------------------------
 
 
+def reference_groups(profile):
+    """Oracle: the equal-ratio groups, as [(ratio, counts)], one count at a time.
+
+    Positive-ratio counts in decreasing ratio, ties by count.  A closed-form
+    profile groups equal exact ratios; a float profile starts a new group unless
+    the count's ratio is within RATIO_TIE_RTOL of the group's first ratio or
+    both are infinite.
+    """
+    n, r = profile.n, profile.ratio
+    key = profile.exact_ratio if profile.is_exact else r
+    order = sorted((k for k in range(n + 1) if key[k] > 0), key=lambda k: (-key[k], k))
+    groups = []
+    for k in order:
+        if groups:
+            first = groups[-1][1][0]
+            if profile.is_exact:
+                same = key[first] == key[k]
+            else:
+                head = r[first]
+                same = (math.isinf(head) and math.isinf(r[k])) or (
+                    math.isfinite(head) and abs(head - r[k]) <= RATIO_TIE_RTOL * head)
+            if same:
+                groups[-1][1].append(k)
+                continue
+        groups.append((r[k], [k]))
+    return groups
+
+
+def library_groups(profile):
+    ratios, ks, ends = _ratio_groups(profile)
+    return [(ratio, ks[lo:hi]) for ratio, lo, hi in zip(ratios, [0] + ends, ends)]
+
+
 def reference_selection(profile, alpha):
     """Oracle: the greedy accounting in Fraction sums of C(n, k) / 2**n.
 
     Returns (included, tie_set, c, gamma, p_included, p_tie), or
-    ("infeasible", attainable).  The equal-ratio grouping is taken from the
-    library; only the mass accounting is re-derived here.
+    ("infeasible", attainable).  The groups come from reference_groups.
     """
     n = profile.n
 
@@ -175,7 +207,7 @@ def reference_selection(profile, alpha):
     target = 1 - Fraction(alpha)
     included, cum = [], Fraction(0)
     tie_ratio, tie_ks = 0.0, []
-    for ratio, ks in _ratio_groups(profile):
+    for ratio, ks in reference_groups(profile):
         if cum + mass(ks) <= target:
             included += ks
             cum += mass(ks)
@@ -214,7 +246,7 @@ def test_selection_matches_fraction_reference_on_closed_form_profiles():
                 # remainder-zero branch), half a count below it (the group
                 # must become the tie group), and at a random integer.
                 cum = list(accumulate(sum(math.comb(n, k) for k in ks)
-                                      for _, ks in _ratio_groups(prof)))
+                                      for _, ks in reference_groups(prof)))
                 for c in rng.sample(cum, min(3, len(cum))):
                     alphas += [1 - c / 2 ** n, 1 - (c - 0.5) / 2 ** n]
                 alphas.append(rng.randrange(1, 2 ** n) / 2 ** n)
@@ -251,6 +283,74 @@ def test_selection_matches_fraction_reference_at_natural_levels(values, data):
     alpha = data.draw(st.integers(1, 2 ** n - 1)) / 2 ** n
     for prof in (lk_mom(make_sample(values)), lk_edf(make_sample(values))):
         assert selection_fields(prof, alpha) == reference_selection(prof, alpha)
+
+
+def test_ratio_groups_match_reference_on_closed_form_profiles():
+    for n in range(1, 81):
+        for prof in (lk_uniform(n), lk_exponential(n)):
+            assert library_groups(prof) == reference_groups(prof), n
+
+
+def mirrored(half, center, nudge, rel):
+    """Data symmetric about 0, then value ``nudge`` of the positive half moved
+    by ``rel`` times its gap below.  Mirrored counts have equal lk_mom ratios
+    and lk_edf ratios a few ulps apart; the move pulls one pair apart by about
+    ``rel`` relative, inside or outside RATIO_TIE_RTOL."""
+    pos = sorted(half)
+    j = nudge % len(pos)
+    below = pos[j - 1] if j else (0.0 if center else -pos[0])
+    pos[j] += rel * (pos[j] - below)
+    return sorted([-v for v in half] + pos + ([0.0] if center else []))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    half=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=20, unique=True),
+    center=st.booleans(),
+    nudge=st.integers(0, 19),
+    rel=st.sampled_from([0.0, 1e-13, 3e-10, 9e-10, 1.1e-9, 3e-9, 1e-6]),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_groups_and_selection_match_reference_on_tied_ratios(half, center, nudge, rel, alpha):
+    values = mirrored(half, center, nudge, rel)
+    if len(values) < 3 or len(set(values)) < len(values):
+        return
+    s = make_sample(values)
+    for prof in (lk_mom(s), lk_edf(s)):
+        assert library_groups(prof) == reference_groups(prof)
+        assert selection_fields(prof, alpha) == reference_selection(prof, alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(st.sampled_from([1.0, 1 - 4e-10, 1 - 6e-10, 1 - 1e-9, 1 - 2e-9, 0.9, 0.0, math.inf]),
+                   min_size=2, max_size=30),
+    perm=st.randoms(use_true_random=False),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_groups_and_selection_match_reference_on_ratio_chains(steps, perm, alpha):
+    # Ratios falling by factors near 1 - RATIO_TIE_RTOL make chains in which
+    # each ratio is within the tolerance of the one before it but not of the
+    # group's first; 0.0 and inf enter as themselves.
+    ratio, r = [], 1.0
+    for f in steps:
+        r *= f if math.isfinite(f) and f else 1.0
+        ratio.append(f if f in (0.0, math.inf) else r)
+    perm.shuffle(ratio)
+    prof = LkProfile(len(ratio) - 1, (1.0,) * len(ratio), tuple(ratio))
+    assert library_groups(prof) == reference_groups(prof)
+    assert selection_fields(prof, alpha) == reference_selection(prof, alpha)
+
+
+def test_tied_ratios_reach_both_grouping_paths():
+    # Distinct spacings give singleton groups; mirrored data give pairs, one
+    # of them only within the tolerance.
+    plain = lk_mom(make_sample([0.0, 1.0, 4.0, 11.0, 13.0]))
+    assert all(len(ks) == 1 for _, ks in library_groups(plain))
+    for rel in (0.0, 5e-10):
+        prof = lk_mom(make_sample(mirrored([1.0, 3.0, 7.0], True, 2, rel)))
+        assert library_groups(prof) == reference_groups(prof)
+        assert any(len(ks) == 2 for _, ks in library_groups(prof))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -80,7 +81,7 @@ def test_exact_ratios_are_binomial_coefficients(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 57, 200, 999, 1000])
 def test_binomial_pmf_table_equals_binom_pmf(n):
     # Oracle: C(n, k) / 2**n from math.comb, rounded once by Fraction.
-    assert _binom_pmfs(n) == tuple(float(Fraction(math.comb(n, k), 2 ** n)) for k in range(n + 1))
+    assert _binom_pmfs(n).tolist() == [float(Fraction(math.comb(n, k), 2 ** n)) for k in range(n + 1)]
 
 
 @pytest.mark.parametrize("profile", [lk_uniform, lk_exponential])
@@ -163,6 +164,22 @@ def test_edf_handles_all_tied_sample():
     assert p.l == (0.0, 0.0, 0.0, 0.0)
 
 
+def test_profiles_do_not_warn_on_extreme_data():
+    # Python's float arithmetic, which the formulas follow, overflows to inf
+    # and divides by zero spacing without a warning, so neither may numpy.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        subnormal = make_sample([0.0, 5e-324, 1.0, 2.0, 3.0, 4.0])
+        assert lk_mom(subnormal).ratio[1] == math.inf
+        assert all(v > 0 for v in lk_edf(subnormal).ratio)
+        tied = make_sample([2.0] * 5)
+        assert lk_edf(tied).ratio == (math.inf,) * 6
+        with pytest.raises(DegenerateDataError):
+            lk_mom(tied)
+        # The first gap exceeds the largest float.
+        assert lk_edf(make_sample([-1e308, 1e308, 1.5e308])).ratio == (0.0,) * 4
+
+
 def edf_reference(values):
     """l_hat(k) and r(k) of the lk_edf docstring, summed term by term over i."""
     n = len(values)
@@ -188,7 +205,7 @@ def edf_oracle_samples(n, name, variants):
 EDF_VARIANTS = [(scale, rounded) for scale in (1e-5, 1.0, 1e4) for rounded in (False, True)]
 
 
-@pytest.mark.parametrize("n", list(range(2, 41)) + [50, 100, 200])
+@pytest.mark.parametrize("n", list(range(2, 41)) + [50, 65, 66, 100, 129, 130, 200])
 def test_edf_profile_equals_reference_bit_for_bit(n):
     for name in study_distributions():
         for s in edf_oracle_samples(n, name, EDF_VARIANTS):
