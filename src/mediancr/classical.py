@@ -28,7 +28,7 @@ from .distributions import (
     signed_rank_null_cdf,
     t_quantile,
 )
-from .errors import DegenerateDataError, InfeasibleLevelError
+from .errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from .optimal import conservative_region, symmetric_selection
 from .regions import Interval, Region, SortedSample
 
@@ -162,7 +162,8 @@ def kde_at_median(sample: SortedSample) -> float:
     """Gaussian kernel density estimate evaluated at the sample median.
 
     Bandwidth h = 0.9 * min(sd, IQR / 1.34) * n^(-1/5).  A zero bandwidth
-    (no spread on the chosen scale) is degenerate.
+    (no spread on the chosen scale) is degenerate; an estimate that is not
+    positive and finite means the spread is outside the float range.
     """
     n = sample.n
     if n < 2:
@@ -172,7 +173,11 @@ def kde_at_median(sample: SortedSample) -> float:
     if h <= 0.0:
         raise DegenerateDataError("zero bandwidth: sample has no usable spread")
     z = (sample.median - sample.as_array()) / h
-    return float(np.mean(np.exp(-0.5 * z * z)) / (h * math.sqrt(2.0 * math.pi)))
+    f_hat = float(np.mean(np.exp(-0.5 * z * z)) / (h * math.sqrt(2.0 * math.pi)))
+    if not 0.0 < f_hat < math.inf:
+        raise UnsupportedSizeError(f"density estimate {f_hat!r} (bandwidth {h!r}): "
+                                   "the data's spread is outside the float range")
+    return f_hat
 
 
 def cr_asymp_median(sample: SortedSample, alpha: float) -> Region:

@@ -28,7 +28,7 @@ from .distributions import RngStream, binom_pmf_fraction, exponential, study_dis
 from .errors import DegenerateDataError, InfeasibleLevelError
 from .methods import METHODS, compute_region, parse_method_ids
 from .optimal import assemble_region, conservative_region, select_gamma0
-from .regions import make_sample, region_from_gamma0
+from .regions import json_float, make_sample, region_from_gamma0
 from .simulate import SimConfig, results_to_csv, run_simulation
 from .spacings import lk_exponential, lk_uniform
 
@@ -94,14 +94,8 @@ def _jitter_ties(values: list[float], eps: float, rng: RngStream) -> tuple[list[
     return out, True
 
 
-def _fmt_endpoint_json(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
 def _region_payload(region) -> dict:
-    return {"intervals": region.to_jsonable(), "content": _fmt_endpoint_json(region.content)}
+    return {"intervals": region.to_jsonable(), "content": json_float(region.content)}
 
 
 def _cmd_cr(args) -> int:

@@ -31,7 +31,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .distributions import binom_counts
-from .errors import InfeasibleLevelError
+from .errors import InfeasibleLevelError, UnsupportedSizeError
 from .regions import Region, SortedSample, region_from_gamma0
 from .spacings import (
     RATIO_TIE_RTOL,
@@ -248,9 +248,12 @@ def adaptive_mom_selection(sample: SortedSample, alpha: float) -> Gamma0Selectio
 def adaptive_edf_selection(sample: SortedSample, alpha: float) -> Gamma0Selection:
     """Selection under the empirical-CDF plug-in profile.  Requires n >= 3.
 
-    All estimated spacings are finite, so boundary counts may be admitted and
-    the realized region can be unbounded.
+    Boundary counts may be admitted, so the realized region can be unbounded.
+    A spacing estimate that is not finite raises UnsupportedSizeError.
     """
     if sample.n < 3:
         raise ValueError(f"need n >= 3, got {sample.n}")
-    return select_gamma0(lk_edf(sample), alpha)
+    profile = lk_edf(sample)
+    if not all(map(math.isfinite, profile.l)):
+        raise UnsupportedSizeError("spacing estimate not finite: data spread outside the float range")
+    return select_gamma0(profile, alpha)

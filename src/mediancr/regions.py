@@ -24,6 +24,7 @@ __all__ = [
     "Interval",
     "Region",
     "region_from_gamma0",
+    "json_float",
 ]
 
 
@@ -124,6 +125,11 @@ def _fmt_endpoint(x: float) -> str:
     return repr(float(x))
 
 
+def json_float(x: float) -> float | str:
+    """``x`` itself when finite, else the token "inf" or "-inf": JSON has no infinity."""
+    return x if math.isfinite(x) else _fmt_endpoint(x)
+
+
 @dataclass(frozen=True)
 class Region:
     """A disjoint, ascending union of intervals (possibly empty).
@@ -155,12 +161,8 @@ class Region:
         return [iv.token() for iv in self.intervals]
 
     def to_jsonable(self) -> list[dict]:
-        out = []
-        for iv in self.intervals:
-            lo = iv.lo if math.isfinite(iv.lo) else _fmt_endpoint(iv.lo)
-            hi = iv.hi if math.isfinite(iv.hi) else _fmt_endpoint(iv.hi)
-            out.append({"lo": lo, "hi": hi, "closed_hi": iv.closed_hi})
-        return out
+        return [{"lo": json_float(iv.lo), "hi": json_float(iv.hi), "closed_hi": iv.closed_hi}
+                for iv in self.intervals]
 
 
 def region_from_gamma0(sample: SortedSample, k_set: Iterable[int]) -> Region:

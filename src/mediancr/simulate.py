@@ -7,31 +7,28 @@ randomized method draws one fresh uniform.  Randomness is keyed per
 worker count, on which other methods run, or on the order of the
 distribution grid.
 
-Infinite-content regions (possible for the sign region at small n and for
-the plug-in adaptive region) still count toward coverage but are excluded
-from the mean content and tallied separately.  The standardized content
-column scales the mean content by sqrt(n) to put sample sizes on one axis.
+``replicate`` returns each method's region for one sample; each cell keeps
+one running tally per method over its replications.  Infinite-content
+regions (possible for the sign region at small n and for the plug-in
+adaptive region) still count toward coverage but are excluded from the mean
+content and tallied separately.  The standardized content column scales the
+mean content by sqrt(n) to put sample sizes on one axis.  The CSV columns
+are the fields of ``SimResult``, in order.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
 
 from .classical import bootstrap_medians
 from .distributions import DistributionSpec, RngStream, sample
 from .errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from .methods import METHODS, compute_region
-from .regions import make_sample
+from .regions import Region, make_sample
 
-__all__ = ["SimConfig", "SimResult", "RepOutcome", "replicate", "run_simulation", "results_to_csv"]
-
-CSV_HEADER = (
-    "method,dist,n,alpha,reps,breps,coverage,mc_se,"
-    "mean_content,std_content,infinite_count,failures"
-)
+__all__ = ["SimConfig", "SimResult", "replicate", "run_simulation", "results_to_csv"]
 
 
 @dataclass(frozen=True)
@@ -67,15 +64,8 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class RepOutcome:
-    covered: bool
-    content: float
-    failed: bool = False
-
-
-@dataclass(frozen=True)
 class SimResult:
-    """Aggregated outcome of one (method, distribution, n) cell."""
+    """Aggregated outcome of one (method, distribution, n) cell; one CSV row."""
 
     method: int
     dist: str
@@ -91,86 +81,71 @@ class SimResult:
     failures: int
 
 
-@lru_cache(maxsize=64)
-def _true_median(dist: DistributionSpec) -> float:
-    return dist.true_median()
+CSV_HEADER = ",".join(f.name for f in fields(SimResult))
 
 
-def replicate(
-    dist: DistributionSpec,
-    n: int,
-    alpha: float,
-    methods: tuple[int, ...],
-    breps: int,
-    rng: RngStream,
-) -> dict[int, RepOutcome]:
-    """Evaluate every requested method on one fresh sample.
+@dataclass
+class _Tally:
+    """One method's running counts over the replications of a cell."""
 
-    Purpose-keyed child streams make the outcome for a given method
-    independent of which other methods were requested.
+    covered: int = 0
+    content_sum: float = 0.0
+    infinite: int = 0
+    failures: int = 0
+
+
+def replicate(dist: DistributionSpec, n: int, alpha: float, methods: tuple[int, ...],
+              breps: int, rng: RngStream) -> dict[int, Region | None]:
+    """Every requested method's region on one fresh sample.
+
+    A method maps to None where it raised InfeasibleLevelError,
+    DegenerateDataError or UnsupportedSizeError; the cell counts that
+    replication as a failure.  Purpose-keyed child streams make the region
+    for a given method independent of which other methods were requested.
     """
-    data = sample(dist, n, rng.child("data"))
-    srt = make_sample(data)
-    target = _true_median(dist)
+    srt = make_sample(sample(dist, n, rng.child("data")))
     boot = None
     if any(METHODS[m].needs_bootstrap for m in methods):
         boot = bootstrap_medians(srt, breps, rng.child("boot"))
-    out: dict[int, RepOutcome] = {}
+    out: dict[int, Region | None] = {}
     for m in methods:
         u = rng.child("rand", m).uniform() if METHODS[m].randomized else None
         try:
-            region = compute_region(m, srt, alpha, u=u, boot=boot)
+            out[m] = compute_region(m, srt, alpha, u=u, boot=boot)
         except (InfeasibleLevelError, DegenerateDataError, UnsupportedSizeError):
-            out[m] = RepOutcome(covered=False, content=math.nan, failed=True)
-            continue
-        out[m] = RepOutcome(covered=region.contains(target), content=region.content)
+            out[m] = None
     return out
 
 
 def _run_cell(args) -> list[SimResult]:
     dist, n, config = args
-    methods = config.methods
-    covered = {m: 0 for m in methods}
-    content_sum = {m: 0.0 for m in methods}
-    infinite = {m: 0 for m in methods}
-    failures = {m: 0 for m in methods}
+    target = dist.true_median()
+    tallies = {m: _Tally() for m in config.methods}
     for rep in range(config.reps):
         rng = RngStream(config.master_seed, (dist.label, n, rep))
-        outcomes = replicate(dist, n, config.alpha, methods, config.breps, rng)
-        for m, oc in outcomes.items():
-            if oc.failed:
-                failures[m] += 1
+        regions = replicate(dist, n, config.alpha, config.methods, config.breps, rng)
+        for m, region in regions.items():
+            t = tallies[m]
+            if region is None:
+                t.failures += 1
                 continue
-            if oc.covered:
-                covered[m] += 1
-            if math.isinf(oc.content):
-                infinite[m] += 1
+            t.covered += region.contains(target)
+            content = region.content
+            if math.isinf(content):
+                t.infinite += 1
             else:
-                content_sum[m] += oc.content
-    results = []
-    for m in methods:
-        ok = config.reps - failures[m]
-        cov = covered[m] / ok if ok else math.nan
+                t.content_sum += content
+    rows = []
+    for m, t in tallies.items():
+        ok = config.reps - t.failures
+        cov = t.covered / ok if ok else math.nan
         mc_se = math.sqrt(cov * (1.0 - cov) / ok) if ok else math.nan
-        finite_count = ok - infinite[m]
-        mean_content = content_sum[m] / finite_count if finite_count else math.nan
-        results.append(
-            SimResult(
-                method=m,
-                dist=dist.label,
-                n=n,
-                alpha=config.alpha,
-                reps=config.reps,
-                breps=config.breps,
-                coverage=cov,
-                mc_se=mc_se,
-                mean_content=mean_content,
-                std_content=mean_content * math.sqrt(n),
-                infinite_count=infinite[m],
-                failures=failures[m],
-            )
-        )
-    return results
+        mean = t.content_sum / (ok - t.infinite) if ok > t.infinite else math.nan
+        rows.append(SimResult(
+            method=m, dist=dist.label, n=n, alpha=config.alpha, reps=config.reps,
+            breps=config.breps, coverage=cov, mc_se=mc_se, mean_content=mean,
+            std_content=mean * math.sqrt(n), infinite_count=t.infinite, failures=t.failures))
+    return rows
 
 
 def run_simulation(config: SimConfig) -> list[SimResult]:
@@ -189,30 +164,11 @@ def run_simulation(config: SimConfig) -> list[SimResult]:
     return [row for cell_rows in per_cell for row in cell_rows]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+# (name, formatter) per CSV column; under the ``__future__`` import f.type is a string.
+_COLUMNS = [(f.name, "{:.10g}".format if f.type == "float" else str) for f in fields(SimResult)]
 
 
 def results_to_csv(results: list[SimResult]) -> str:
-    """Render results as CSV with 10-significant-digit floats."""
-    lines = [CSV_HEADER]
-    for r in results:
-        lines.append(
-            ",".join(
-                [
-                    str(r.method),
-                    r.dist,
-                    str(r.n),
-                    _fmt(r.alpha),
-                    str(r.reps),
-                    str(r.breps),
-                    _fmt(r.coverage),
-                    _fmt(r.mc_se),
-                    _fmt(r.mean_content),
-                    _fmt(r.std_content),
-                    str(r.infinite_count),
-                    str(r.failures),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Render results as CSV, one column per SimResult field; floats get 10 significant digits."""
+    rows = (",".join(fmt(getattr(r, name)) for name, fmt in _COLUMNS) for r in results)
+    return "\n".join([CSV_HEADER, *rows]) + "\n"

@@ -177,10 +177,10 @@ def lk_edf(sample: SortedSample) -> LkProfile:
     l_hat(k) = C(n, k) * sum_{i=2}^{n} (1 - (i-1)/n)^(n-k) ((i-1)/n)^k
                * (x_(i) - x_(i-1)).
 
-    All entries are finite (the empirical CDF has bounded support), so the
-    boundary counts may enter a selection.  Ties only shrink the affected
-    terms; no error is raised.  Beyond the binomial tables (n > 1000) it
-    raises UnsupportedSizeError.
+    Entries are finite (the empirical CDF has bounded support), so boundary
+    counts may enter a selection, unless the data's spread overflows a gap
+    or a sum (inf, or nan).  Ties only shrink the affected terms; no error is
+    raised.  Beyond the binomial tables (n > 1000) it raises UnsupportedSizeError.
 
     Every l_hat(k) adds the same products in the same order as the formula
     read left to right, so each entry is the float the scalar sum gives.  The

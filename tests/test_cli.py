@@ -289,6 +289,24 @@ def test_cr_binomial_size_cap_exits_without_jitter_hint(tmp_path, capsys, n, met
     assert "jitter" not in err
 
 
+@pytest.mark.parametrize("method, data, alpha", [
+    (4, "-1.7e308 -1e308 0 1e308 1.7e308 1.5e308 -1.2e308", "0.05"),
+    (13, "-1e308 1e308 1.5e308 1.6e308 1.7e308", "0.3"),
+])
+def test_cr_spread_beyond_float_range_exits_without_jitter_hint(tmp_path, capsys, method,
+                                                                data, alpha):
+    # Valid data whose spread overflows the method's estimate: a data error
+    # that jittering cannot help, not a crash or an infeasible level.
+    p = tmp_path / "wide.txt"
+    p.write_text(data)
+    code = main(["cr", "--input", str(p), "--methods", str(method), "--alpha", alpha])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: method {method} " in err
+    assert "float range" in err
+    assert "jitter" not in err
+
+
 def test_cr_jitter_resolves_ties(tmp_path, capsys):
     p = tmp_path / "tied.txt"
     p.write_text("1 1 2 3 4 5 6 7 8 9")

@@ -19,7 +19,7 @@ from mediancr.classical import (
 )
 from mediancr.cli import _explain_randomized
 from mediancr.distributions import RngStream, normal, sample
-from mediancr.errors import DegenerateDataError, InfeasibleLevelError
+from mediancr.errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from mediancr.methods import (
     ALL_METHOD_IDS,
     METHODS,
@@ -160,6 +160,24 @@ def test_count_methods_equivariant_under_increasing_maps(data, g, alpha, u):
     s, t = make_sample(data), make_sample(gx)
     for m in (3, 10, 11):
         assert compute_region(m, t, alpha, u=u) == mapped(compute_region(m, s, alpha, u=u), g), m
+
+
+# Data whose spread lies outside the float range: method 4's bandwidth
+# overflows, and the largest gap of method 13's sample exceeds the largest float.
+SPREAD_BEYOND_FLOATS = [
+    (4, [-1.7e308, -1e308, 0.0, 1e308, 1.7e308, 1.5e308, -1.2e308], 0.05),
+    (13, [-1e308, 1e308, 1.5e308, 1.6e308, 1.7e308], 0.3),
+]
+
+
+@pytest.mark.parametrize("method_id, data, alpha", SPREAD_BEYOND_FLOATS)
+def test_spread_beyond_float_range_is_an_unsupported_size(method_id, data, alpha):
+    # A library error, so simulate counts a failure and cr exits 3; neither a
+    # ZeroDivisionError nor a misreported level.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(UnsupportedSizeError, match="float range"):
+            compute_region(method_id, make_sample(data), alpha, u=0.5)
 
 
 def test_dispatch_bootstrap_variants_share_resamples():

@@ -11,6 +11,7 @@ from mediancr.regions import (
     Interval,
     Region,
     SortedSample,
+    json_float,
     make_sample,
     region_from_gamma0,
 )
@@ -88,6 +89,13 @@ def test_to_jsonable_uses_inf_tokens():
     r = Region((Interval(-math.inf, 2.0),))
     [d] = r.to_jsonable()
     assert d == {"lo": "-inf", "hi": 2.0, "closed_hi": False}
+
+
+def test_json_float_spells_infinities():
+    assert json_float(math.inf) == "inf"
+    assert json_float(-math.inf) == "-inf"
+    assert json_float(-0.0) == 0.0 and math.copysign(1.0, json_float(-0.0)) == -1.0
+    assert json_float(5e-324) == 5e-324
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Monte Carlo harness: pairing, aggregation, CSV stability."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from mediancr.distributions import (
     study_distributions,
     uniform,
 )
+from mediancr.regions import Region
 from mediancr.simulate import (
     CSV_HEADER,
     SimConfig,
+    SimResult,
     replicate,
     results_to_csv,
     run_simulation,
@@ -68,9 +71,8 @@ def test_replicate_deterministic_and_subset_invariant():
 def test_replicate_records_failures():
     # Method 11 cannot reach level .95 at n = 3 (attainable 7/8).
     out = replicate(uniform(-1.0, 1.0), 3, 0.05, (3, 11), 10, RngStream(1, ("f", 0)))
-    assert out[11].failed
-    assert math.isnan(out[11].content)
-    assert not out[3].failed
+    assert out[11] is None
+    assert isinstance(out[3], Region)
 
 
 def test_rows_ordered_by_cell_then_method():
@@ -162,7 +164,7 @@ def test_coverage_and_content_recomputed_from_replicates():
         rng = RngStream(7, (normal().label, 10, rep))
         out = replicate(normal(), 10, 0.05, (1, 10), 50, rng)
         for m in (1, 10):
-            cover[m] += out[m].covered
+            cover[m] += out[m].contains(med)
             content[m] += out[m].content
     assert row1.coverage == cover[1] / 25
     assert row10.coverage == cover[10] / 25
@@ -191,6 +193,24 @@ def test_csv_format():
     assert fields[5] == "50"
     float(fields[6])
     assert text == results_to_csv(run_simulation(cfg))
+
+
+def test_csv_text_of_hand_built_rows():
+    # A row where every replication failed, and one whose regions were
+    # unbounded in 3 of 20 replications.
+    nan = math.nan
+    failed = SimResult(11, "normal(0;1)", 3, 0.05, 12, 50, nan, nan, nan, nan, 0, 12)
+    unbounded = SimResult(10, "exponential(1)", 4, 0.1, 20, 500, 0.85,
+                          math.sqrt(0.85 * 0.15 / 20), 1.0 / 3.0, 12345678901.5, 3, 0)
+    text = results_to_csv([failed, unbounded])
+    assert text == (
+        "method,dist,n,alpha,reps,breps,coverage,mc_se,"
+        "mean_content,std_content,infinite_count,failures\n"
+        "11,normal(0;1),3,0.05,12,50,nan,nan,nan,nan,0,12\n"
+        "10,exponential(1),4,0.1,20,500,0.85,0.07984359711,0.3333333333,1.23456789e+10,3,0\n"
+    )
+    assert CSV_HEADER.split(",") == [f.name for f in fields(SimResult)]
+    assert results_to_csv([]) == CSV_HEADER + "\n"
 
 
 def test_paired_design_shares_data_across_methods():
