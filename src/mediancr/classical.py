@@ -30,7 +30,7 @@ from .distributions import (
 )
 from .errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from .optimal import conservative_region, symmetric_selection
-from .regions import Interval, Region, SortedSample
+from .regions import Interval, Region, SortedSample, midpoint
 
 __all__ = [
     "ClampedProbabilityWarning",
@@ -58,6 +58,10 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _closed(lo: float, hi: float) -> Region:
+    """[lo, hi]; a nan endpoint, or both ends at one infinity, is an overflowed estimate."""
+    if not hi - lo >= 0.0:
+        raise UnsupportedSizeError(f"interval [{lo!r}, {hi!r}]: "
+                                   "the data's spread is outside the float range")
     return Region((Interval(float(lo), float(hi), closed_hi=True),))
 
 
@@ -237,7 +241,8 @@ def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> Boots
     idx = np.sort(rng._rekeyed().integers(0, n, size=(breps, n), dtype=np.int32), axis=1)
     mid = n // 2
     # Summed from +0.0 as np.median does: -0.0 data give 0.0, an underflowed mean -0.0.
-    med = 0.0 + arr[idx[:, mid]] if n % 2 else ((0.0 + arr[idx[:, mid - 1]]) + arr[idx[:, mid]]) / 2.0
+    med = (0.0 + arr[idx[:, mid]] if n % 2
+           else midpoint(0.0 + arr[idx[:, mid - 1]], arr[idx[:, mid]]))
     med = np.sort(med)
     med.flags.writeable = False
     return BootstrapDistribution(tuple(med.tolist()), sample.median, med)
@@ -259,9 +264,9 @@ def jackknife_acceleration(sample: SortedSample) -> float:
     m = n // 2
     loo = np.empty(n)
     if n % 2:
-        loo[:m] = (a[m] + a[m + 1]) / 2.0
-        loo[m] = (a[m - 1] + a[m + 1]) / 2.0
-        loo[m + 1:] = (a[m - 1] + a[m]) / 2.0
+        loo[:m] = midpoint(a[m], a[m + 1])
+        loo[m] = midpoint(a[m - 1], a[m + 1])
+        loo[m + 1:] = midpoint(a[m - 1], a[m])
     else:
         loo[:m] = a[m]
         loo[m:] = a[m - 1]
@@ -335,4 +340,7 @@ def cr_bootstrap(
         a = jackknife_acceleration(sample)
         p_lo = float(norm_cdf(z0 + (z0 + z_lo) / (1.0 - a * (z0 + z_lo))))
         p_hi = float(norm_cdf(z0 + (z0 + z_hi) / (1.0 - a * (z0 + z_hi))))
+    if math.isnan(p_lo) or math.isnan(p_hi):
+        raise UnsupportedSizeError(f"tail probabilities {p_lo!r}, {p_hi!r}: "
+                                   "the data's spread is outside the float range")
     return _closed(boot.quantile(p_lo), boot.quantile(p_hi))

@@ -8,7 +8,8 @@ Three subcommands:
 
 Exit codes: 0 success, 1 standard output closed by its reader, 2 bad
 arguments, 3 unreadable or unusable data, 4 requested level infeasible for a
-selected method.
+selected method.  A subcommand raises ValueError for a bad argument, and
+``main`` is the one place that turns it into exit 2.
 
 Output is a pure function of the arguments, the input file bytes, and the
 seed (``--seed``, else the MEDIANCR_SEED environment variable, else 0).
@@ -22,6 +23,7 @@ import math
 import os
 import sys
 import warnings
+from collections import Counter
 
 from .classical import bootstrap_medians
 from .distributions import RngStream, binom_pmf_fraction, exponential, study_distributions
@@ -50,9 +52,7 @@ def _dist_by_name(name: str):
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
-    env = os.environ.get("MEDIANCR_SEED")
-    if env is None:
-        return 0
+    env = os.environ.get("MEDIANCR_SEED", "0")
     try:
         return int(env)
     except ValueError:
@@ -80,17 +80,14 @@ def _read_data(path: str) -> list[float]:
 
 def _jitter_ties(values: list[float], eps: float, rng: RngStream) -> tuple[list[float], bool]:
     """Perturb every member of each tied set by an independent uniform(-eps, eps)."""
-    counts: dict[float, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
+    counts = Counter(values)
     tied_idx = [i for i, v in enumerate(values) if counts[v] > 1]
     if not tied_idx:
         return values, False
-    gen = rng.generator()
-    draws = gen.random(len(tied_idx))
+    draws = rng.generator().random(len(tied_idx))
     out = list(values)
-    for pos, i in enumerate(tied_idx):
-        out[i] = values[i] + eps * (2.0 * draws[pos] - 1.0)
+    for i, d in zip(tied_idx, draws):
+        out[i] = values[i] + eps * (2.0 * d - 1.0)
     return out, True
 
 
@@ -105,18 +102,12 @@ def _cmd_cr(args) -> int:
     except (IOError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-    try:
-        method_ids = parse_method_ids(args.methods)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    method_ids = parse_method_ids(args.methods)
 
     flags_global: list[str] = []
     if args.jitter is not None:
         if args.jitter <= 0:
-            print("error: --jitter must be positive", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--jitter must be positive")
         values, did = _jitter_ties(values, args.jitter, RngStream(seed, ("jitter",)))
         if did:
             flags_global.append("jittered")
@@ -135,39 +126,26 @@ def _cmd_cr(args) -> int:
     for m in method_ids:
         info = METHODS[m]
         u = RngStream(seed, ("cr", m)).uniform() if info.randomized else None
-        flags = list(flags_global)
-        sel = None
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                if args.explain and info.randomized:
-                    # Build the selection once; the explanation shows both of its branches.
-                    sel = info.selection(srt, args.alpha)
-                    region = assemble_region(srt, sel, u)
-                else:
-                    region = compute_region(m, srt, args.alpha, u=u, boot=boot)
-            flags.extend(sorted({w.category.__name__ for w in caught}))
-        except InfeasibleLevelError as exc:
-            print(f"error: method {m} ({info.name}): {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        except DegenerateDataError as exc:
-            # Ties or no spread: jittering the data can help.
-            print(
-                f"error: method {m} ({info.name}): {exc}"
-                + ("" if args.jitter is not None else "; consider --jitter"),
-                file=sys.stderr,
-            )
-            return EXIT_DATA
+                # --explain builds the selection once and shows both of its branches.
+                sel = info.selection(srt, args.alpha) if args.explain and info.randomized else None
+                region = (compute_region(m, srt, args.alpha, u=u, boot=boot) if sel is None
+                          else assemble_region(srt, sel, u))
         except ValueError as exc:
-            # A size limit or too few observations: jittering cannot help.
-            print(f"error: method {m} ({info.name}): {exc}", file=sys.stderr)
-            return EXIT_DATA
+            # Ties or no spread can be jittered away; a size limit or too few
+            # observations cannot.
+            hint = isinstance(exc, DegenerateDataError) and args.jitter is None
+            print(f"error: method {m} ({info.name}): {exc}"
+                  + ("; consider --jitter" if hint else ""), file=sys.stderr)
+            return EXIT_INFEASIBLE if isinstance(exc, InfeasibleLevelError) else EXIT_DATA
         entry = {
             "method": m,
             "name": info.name,
             **_region_payload(region),
             "u": u,
-            "flags": flags,
+            "flags": flags_global + sorted({w.category.__name__ for w in caught}),
         }
         if sel is not None:
             entry["explain"] = _explain_randomized(sel, srt)
@@ -182,22 +160,18 @@ def _cmd_cr(args) -> int:
             "results": [entry for entry, _ in results],
         }
         print(json.dumps(doc, indent=2, default=_region_payload))
-    else:
-        print("method,intervals,content,u,flags")
-        for r, region in results:
-            region_txt = ";".join(region.to_strings())
-            u_txt = "" if r["u"] is None else f"{r['u']!r}"
-            print(
-                f"{r['method']},{region_txt},{r['content']},{u_txt},{'|'.join(r['flags'])}"
-            )
-            if "explain" in r:
-                ex = r["explain"]
-                print(f"# method {r['method']}: gamma={ex['gamma']!r} "
-                      f"included={ex['included']} tie_set={ex['tie_set']}")
-                print(f"# method {r['method']}: if u<=gamma -> "
-                      f"{';'.join(ex['if_u_le_gamma'].to_strings())}")
-                print(f"# method {r['method']}: if u>gamma  -> "
-                      f"{';'.join(ex['if_u_gt_gamma'].to_strings())}")
+        return EXIT_OK
+    print("method,intervals,content,u,flags")
+    for r, region in results:
+        region_txt = ";".join(region.to_strings())
+        u_txt = "" if r["u"] is None else f"{r['u']!r}"
+        print(f"{r['method']},{region_txt},{r['content']},{u_txt},{'|'.join(r['flags'])}")
+        if "explain" in r:
+            ex = r["explain"]
+            print(f"# method {r['method']}: gamma={ex['gamma']!r} "
+                  f"included={ex['included']} tie_set={ex['tie_set']}")
+            for branch, key in (("u<=gamma", "if_u_le_gamma"), ("u>gamma ", "if_u_gt_gamma")):
+                print(f"# method {r['method']}: if {branch} -> {';'.join(ex[key].to_strings())}")
     return EXIT_OK
 
 
@@ -214,23 +188,16 @@ def _explain_randomized(sel, srt) -> dict:
 
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
-    try:
-        dists = tuple(_dist_by_name(s.strip()) for s in args.dists.split(",") if s.strip())
-        sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
-        methods = parse_method_ids(args.methods)
-        config = SimConfig(
-            distributions=dists,
-            sample_sizes=sizes,
-            alpha=args.alpha,
-            reps=args.reps,
-            breps=args.breps,
-            methods=methods,
-            master_seed=seed,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = SimConfig(
+        distributions=tuple(_dist_by_name(s.strip()) for s in args.dists.split(",") if s.strip()),
+        sample_sizes=tuple(int(s) for s in args.sizes.split(",") if s.strip()),
+        alpha=args.alpha,
+        reps=args.reps,
+        breps=args.breps,
+        methods=parse_method_ids(args.methods),
+        master_seed=seed,
+        workers=args.workers,
+    )
 
     results = run_simulation(config)
     csv_text = results_to_csv(results)
@@ -247,16 +214,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    focus = args.focus
-    try:
-        if args.n < 1:
-            raise ValueError(f"--n must be >= 1, got {args.n}")
-        profile = lk_uniform(args.n) if focus == "uniform" else lk_exponential(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    n = args.n
+    n, focus = args.n, args.focus
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
+    profile = lk_uniform(n) if focus == "uniform" else lk_exponential(n)
     print(f"focus={focus} n={n}")
     print("k\tr(k)\tP(B=k)")
     for k in range(n + 1):

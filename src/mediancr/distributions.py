@@ -31,6 +31,7 @@ import numpy as np
 from scipy import special as _special
 
 from .errors import UnsupportedSizeError
+from .regions import midpoint
 
 __all__ = [
     "MAX_BINOM_N",
@@ -346,13 +347,6 @@ def _weibull_pdf(x, shape, scale):
         )
 
 
-def _uniform_median(a, b):
-    # Halving is exact, so this is the correctly rounded midpoint; a + (b - a) / 2 is
-    # not.  When a + b overflows, both halves are exact and their sum is rounded once.
-    mid = 0.5 * (a + b)
-    return mid if math.isfinite(mid) else 0.5 * a + 0.5 * b
-
-
 def _mixture_cdf(x, w1, m1, s1, m2, s2):
     return w1 * _special.ndtr((x - m1) / s1) + (1.0 - w1) * _special.ndtr((x - m2) / s2)
 
@@ -399,7 +393,7 @@ _FAMILIES: dict[str, _Family] = {
         pdf=lambda x, a, b: np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0),
         quantile=lambda u, a, b: a + (b - a) * u,
         support=lambda a, b: (a, b),
-        median=_uniform_median,
+        median=midpoint,
     ),
     "logistic": _Family(
         cdf=lambda x, mu, s: _special.expit((x - mu) / s),

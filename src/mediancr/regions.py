@@ -21,11 +21,28 @@ import numpy as np
 __all__ = [
     "SortedSample",
     "make_sample",
+    "midpoint",
     "Interval",
     "Region",
     "region_from_gamma0",
     "json_float",
 ]
+
+
+def midpoint(a, b):
+    """The midpoint of two floats, or elementwise of two arrays, never overflowing.
+
+    It is 0.5 * (a + b) wherever that is finite.  Where a + b overflows, both
+    halves are exact and 0.5 * a + 0.5 * b rounds once.  Two floats stay plain
+    float arithmetic, and neither path warns on the overflow.
+    """
+    if isinstance(a, np.ndarray):
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (a + b)
+        over = np.isinf(mid)
+        return np.where(over, 0.5 * a + 0.5 * b, mid) if over.any() else mid
+    mid = 0.5 * (a + b)
+    return mid if math.isfinite(mid) else 0.5 * a + 0.5 * b
 
 
 @dataclass(frozen=True)
@@ -68,7 +85,7 @@ class SortedSample:
         mid = self.n // 2
         if self.n % 2:
             return self.values[mid]
-        return 0.5 * (self.values[mid - 1] + self.values[mid])
+        return midpoint(self.values[mid - 1], self.values[mid])
 
     @cached_property
     def sd(self) -> float:

@@ -193,19 +193,19 @@ def lk_edf(sample: SortedSample) -> LkProfile:
         raise ValueError(f"need at least 2 observations, got {n}")
     counts = _float_counts(n)
     w = _edf_weights(n)
-    # The formula's gaps and its C(n, k) * sum are Python float arithmetic,
-    # which overflows to inf without a warning.
-    with np.errstate(over="ignore"):
-        gaps = np.diff(sample.as_array())
     acc = np.zeros(n + 1)
     buf = np.empty((min(n - 1, _EDF_BLOCK) + 1, n + 1))
-    for i0 in range(0, n - 1, _EDF_BLOCK):
-        i1 = min(i0 + _EDF_BLOCK, n - 1)
-        rows = buf[:i1 - i0 + 1]
-        rows[0] = acc
-        np.multiply(w[i0:i1], gaps[i0:i1, None], out=rows[1:])
-        np.add.reduce(rows, axis=0, out=acc)
-    with np.errstate(over="ignore"):
+    # The formula is Python float arithmetic: a gap, a sum or C(n, k) * sum
+    # overflows to inf, and a zero weight times an infinite gap gives nan,
+    # without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.diff(sample.as_array())
+        for i0 in range(0, n - 1, _EDF_BLOCK):
+            i1 = min(i0 + _EDF_BLOCK, n - 1)
+            rows = buf[:i1 - i0 + 1]
+            rows[0] = acc
+            np.multiply(w[i0:i1], gaps[i0:i1, None], out=rows[1:])
+            np.add.reduce(rows, axis=0, out=acc)
         l = counts * acc
     return LkProfile(n, tuple(l.tolist()), _ratios_from_l(n, l))
 

@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -453,6 +454,16 @@ def test_bootstrap_medians_equal_numpy_median(s, breps, seed):
     assert [repr(v) for v in boot.medians] == [repr(v) for v in expected]
     assert [repr(v) for v in boot.medians_array.tolist()] == [repr(v) for v in expected]
     assert boot.medians_array.dtype == np.float64 and not boot.medians_array.flags.writeable
+
+
+def test_bootstrap_medians_near_the_float_limit_are_finite_and_silent():
+    # Every middle pair of these values sums beyond the largest float.
+    s = make_sample([1.7e308 - i * 1e305 for i in range(10)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        boot = bootstrap_medians(s, 500, RngStream(4, ("boot",)))
+    assert s.values[0] <= min(boot.medians) and max(boot.medians) <= s.values[-1]
+    assert math.isfinite(boot.observed_median)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Command line behavior: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -289,9 +290,13 @@ def test_cr_binomial_size_cap_exits_without_jitter_hint(tmp_path, capsys, n, met
     assert "jitter" not in err
 
 
+NEAR_FLOAT_LIMIT = " ".join(repr(1.7e308 - i * 1e305) for i in range(10))
+
+
 @pytest.mark.parametrize("method, data, alpha", [
     (4, "-1.7e308 -1e308 0 1e308 1.7e308 1.5e308 -1.2e308", "0.05"),
     (13, "-1e308 1e308 1.5e308 1.6e308 1.7e308", "0.3"),
+    *(pytest.param(m, NEAR_FLOAT_LIMIT, "0.05", id=f"{m}-near-float-limit") for m in (1, 5, 9)),
 ])
 def test_cr_spread_beyond_float_range_exits_without_jitter_hint(tmp_path, capsys, method,
                                                                 data, alpha):
@@ -394,3 +399,100 @@ def test_simulate_rejects_unknown_distribution(capsys):
 def test_simulate_rejects_tiny_sizes(capsys):
     assert main(["simulate", "--dists", "normal", "--sizes", "2",
                  "--reps", "2", "--methods", "3", "--out", "-"]) == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# frozen output of the command line
+# ---------------------------------------------------------------------------
+
+# Files of the battery, written under fixed relative names so that the JSON
+# "input" field and the error messages that quote a path are stable.
+BATTERY_FILES = {
+    "obs.txt": " ".join(str(v) for v in DATA) + "\n",
+    "tied.txt": "1 1 2 3 4 5 6 7 8 9",
+    "three.txt": "1.0 2.0 3.0",
+    "big.txt": " ".join(str(v) for v in range(250)),
+    "bad.txt": "1 2 x",
+    "nonfinite.txt": "1 2 inf",
+    "empty.txt": "",
+}
+
+SIM = ["simulate", "--dists", "normal", "--sizes", "10", "--reps", "2", "--breps", "20",
+       "--methods", "3,10", "--seed", "0"]
+
+# (MEDIANCR_SEED or None, argv)
+CLI_BATTERY = [
+    (None, ["cr", "--input", "obs.txt", "--seed", "1", "--breps", "200"]),
+    (None, ["cr", "--input", "obs.txt", "--seed", "1", "--breps", "200", "--format", "csv"]),
+    (None, ["cr", "--input", "obs.txt", "--seed", "2", "--methods", "10,11,12,13", "--explain"]),
+    (None, ["cr", "--input", "obs.txt", "--seed", "2", "--methods", "10,11,12,13", "--explain",
+            "--format", "csv"]),
+    (None, ["cr", "--input", "tied.txt", "--seed", "3", "--breps", "200", "--jitter", "1e-6"]),
+    (None, ["cr", "--input", "tied.txt", "--seed", "3", "--breps", "200", "--jitter", "1e-6",
+            "--format", "csv"]),
+    (None, ["cr", "--input", "three.txt", "--methods", "3,13"]),
+    (None, ["cr", "--input", "three.txt", "--methods", "3,13", "--format", "csv"]),
+    # Exit 4: the signed-rank window is undefined at n = 3.
+    (None, ["cr", "--input", "three.txt", "--methods", "2"]),
+    # Exit 3 on tied data: with the jitter hint, and without it once --jitter
+    # is given (an EPS too small to move 1.0 leaves the ties in place).
+    (None, ["cr", "--input", "tied.txt", "--methods", "12"]),
+    (None, ["cr", "--input", "tied.txt", "--methods", "12", "--jitter", "1e-300"]),
+    (None, ["cr", "--input", "big.txt", "--methods", "2"]),
+    (None, ["cr", "--input", "absent.txt"]),
+    (None, ["cr", "--input", "bad.txt"]),
+    (None, ["cr", "--input", "nonfinite.txt"]),
+    (None, ["cr", "--input", "empty.txt"]),
+    # The data are read before the method list is parsed.
+    (None, ["cr", "--input", "absent.txt", "--methods", "0"]),
+    (None, ["cr", "--input", "obs.txt", "--methods", "0"]),
+    (None, ["cr", "--input", "obs.txt", "--methods", "x"]),
+    (None, ["cr", "--input", "obs.txt", "--methods", ","]),
+    (None, ["cr", "--input", "obs.txt", "--methods", "0", "--jitter", "0"]),
+    (None, ["cr", "--input", "obs.txt", "--jitter", "0"]),
+    (None, ["cr", "--input", "obs.txt", "--jitter", "-1"]),
+    (None, ["cr", "--input", "obs.txt", "--methods", "5", "--breps", "0"]),
+    (None, ["cr", "--input", "obs.txt", "--alpha", "1.5"]),
+    ("x", ["cr", "--input", "absent.txt"]),
+    (None, ["table", "--n", "10", "--alpha", "0.05"]),
+    (None, ["table", "--n", "0"]),
+    (None, ["table", "--n", "3000000"]),
+    (None, ["table", "--n", "3", "--alpha", "0.05"]),
+    (None, SIM + ["--out", "-"]),
+    (None, SIM + ["--out", "sim.csv"]),
+    (None, SIM + ["--dists", "laplace", "--out", "-"]),
+    # The seed is resolved before the distributions are parsed.
+    ("x", ["simulate", "--dists", "laplace", "--out", "-"]),
+    (None, SIM + ["--sizes", "2", "--out", "-"]),
+    (None, SIM + ["--sizes", "x", "--out", "-"]),
+    (None, SIM + ["--methods", "0", "--out", "-"]),
+    (None, SIM + ["--reps", "0", "--out", "-"]),
+]
+
+
+def cli_transcript(tmp_path, monkeypatch, capsys) -> str:
+    """One JSON line per battery case: the arguments, exit code, stdout and stderr."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in BATTERY_FILES.items():
+        (tmp_path / name).write_text(text)
+    lines = []
+    for seed_env, argv in CLI_BATTERY:
+        if seed_env is None:
+            monkeypatch.delenv("MEDIANCR_SEED", raising=False)
+        else:
+            monkeypatch.setenv("MEDIANCR_SEED", seed_env)
+        code = main(argv)
+        captured = capsys.readouterr()
+        lines.append(json.dumps([argv, seed_env, code, captured.out, captured.err]))
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_frozen_digest(tmp_path, monkeypatch, capsys):
+    """Every byte the battery writes, and every exit code, stay frozen.
+
+    The digest changes only with an announced change of the command line's
+    output; a refactor that moves it is a regression."""
+    text = cli_transcript(tmp_path, monkeypatch, capsys)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "16677c4e7a48d0eb2c2c60189fbe834bb2b6f5eb8f6a6362dd3d23e4509f041b"
+    )

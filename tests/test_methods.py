@@ -162,22 +162,51 @@ def test_count_methods_equivariant_under_increasing_maps(data, g, alpha, u):
         assert compute_region(m, t, alpha, u=u) == mapped(compute_region(m, s, alpha, u=u), g), m
 
 
+# Ten values near the float limit, whose sum overflows.
+NEAR_FLOAT_LIMIT = [1.7e308 - i * 1e305 for i in range(10)]
+
 # Data whose spread lies outside the float range: method 4's bandwidth
-# overflows, and the largest gap of method 13's sample exceeds the largest float.
+# overflows, and the largest gap of method 13's sample exceeds the largest
+# float.  Near the float limit the t interval's mean, the basic bootstrap's
+# 2 * median and BCa's acceleration overflow.
 SPREAD_BEYOND_FLOATS = [
     (4, [-1.7e308, -1e308, 0.0, 1e308, 1.7e308, 1.5e308, -1.2e308], 0.05),
     (13, [-1e308, 1e308, 1.5e308, 1.6e308, 1.7e308], 0.3),
+    (1, NEAR_FLOAT_LIMIT, 0.05),
+    (5, NEAR_FLOAT_LIMIT, 0.05),
+    (9, NEAR_FLOAT_LIMIT, 0.05),
 ]
 
 
 @pytest.mark.parametrize("method_id, data, alpha", SPREAD_BEYOND_FLOATS)
 def test_spread_beyond_float_range_is_an_unsupported_size(method_id, data, alpha):
     # A library error, so simulate counts a failure and cr exits 3; neither a
-    # ZeroDivisionError nor a misreported level.
+    # ZeroDivisionError, a misreported level nor a nan endpoint.
+    s = make_sample(data)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        boot = bootstrap_medians(s, 200, RngStream(5, ("boot",)))
         with pytest.raises(UnsupportedSizeError, match="float range"):
-            compute_region(method_id, make_sample(data), alpha, u=0.5)
+            compute_region(method_id, s, alpha, u=0.5, boot=boot)
+
+
+@pytest.mark.parametrize("method_id", ALL_METHOD_IDS)
+def test_no_region_has_a_nan_endpoint_near_the_float_limit(method_id):
+    # Each method either gives a region whose endpoints are numbers or raises
+    # the library's size error; methods 2-4, 6-8 and 10-13 give regions.
+    s = make_sample(NEAR_FLOAT_LIMIT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        boot = bootstrap_medians(s, 200, RngStream(5, ("boot",)))
+        try:
+            region = compute_region(method_id, s, ALPHA, u=0.5, boot=boot)
+        except UnsupportedSizeError:
+            assert method_id in (1, 5, 9)
+            return
+    assert method_id not in (1, 5, 9)
+    assert region.intervals
+    for iv in region.intervals:
+        assert iv.lo <= iv.hi and not math.isnan(iv.hi - iv.lo)
 
 
 def test_dispatch_bootstrap_variants_share_resamples():

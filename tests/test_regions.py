@@ -1,6 +1,8 @@
 """Region representation: order statistics, intervals, count-set construction."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from mediancr.regions import (
     SortedSample,
     json_float,
     make_sample,
+    midpoint,
     region_from_gamma0,
 )
 
@@ -46,6 +49,41 @@ def test_order_stat_conventions():
 def test_sample_median():
     assert make_sample([5.0, 1.0, 3.0]).median == 3.0
     assert make_sample([1.0, 2.0, 3.0, 10.0]).median == 2.5
+
+
+# Data near the float limit, whose middle pair sums beyond the largest float.
+NEAR_FLOAT_LIMIT = [1.7e308 - i * 1e305 for i in range(10)]
+
+
+def test_median_near_the_float_limit_is_the_exact_midpoint_rounded():
+    s = make_sample(NEAR_FLOAT_LIMIT)
+    assert s.median == float((Fraction(s.values[4]) + Fraction(s.values[5])) / 2)
+
+
+# Ordinary, subnormal and signed-zero floats, and the largest magnitudes.
+MIDPOINT_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(MIDPOINT_FLOATS, MIDPOINT_FLOATS), min_size=1, max_size=8))
+def test_midpoint_is_the_old_formula_wherever_that_is_finite(pairs):
+    a = np.array([p[0] for p in pairs])
+    b = np.array([p[1] for p in pairs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mids = midpoint(a, b)
+        for (x, y), mid in zip(pairs, mids.tolist()):
+            assert repr(midpoint(x, y)) == repr(mid)
+            old = 0.5 * (x + y)
+            if math.isfinite(old):
+                assert repr(mid) == repr(old)
+            else:
+                # Oracle: the exact midpoint, rounded once.
+                assert mid == float((Fraction(x) + Fraction(y)) / 2)
 
 
 def test_interval_membership_half_open_vs_closed():

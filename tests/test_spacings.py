@@ -178,6 +178,9 @@ def test_profiles_do_not_warn_on_extreme_data():
             lk_mom(tied)
         # The first gap exceeds the largest float.
         assert lk_edf(make_sample([-1e308, 1e308, 1.5e308])).ratio == (0.0,) * 4
+        # So does the first of 199 gaps, and zero weights meet it as well.
+        wide = lk_edf(make_sample([-1.7e308] + [1e308 + i * 1e292 for i in range(199)]))
+        assert wide.l[0] == math.inf
 
 
 def edf_reference(values):
