@@ -19,7 +19,6 @@ are the fields of ``SimResult``, in order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .classical import bootstrap_medians
@@ -159,6 +158,9 @@ def run_simulation(config: SimConfig) -> list[SimResult]:
     if config.workers == 1 or len(cells) == 1:
         per_cell = [_run_cell(c) for c in cells]
     else:
+        # Imported here, its only use, so a serial run does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(config.workers, len(cells))) as pool:
             per_cell = list(pool.map(_run_cell, cells))
     return [row for cell_rows in per_cell for row in cell_rows]

@@ -25,10 +25,8 @@ only the finite ones.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -216,24 +214,16 @@ def lk_edf(sample: SortedSample) -> LkProfile:
 def _edf_weights(n: int) -> np.ndarray:
     """Read-only weights of lk_edf: row i - 2 holds (1 - p)^(n-k) p^k, p = (i-1)/n.
 
-    The powers are evaluated with Python's pow, which np.power does not always
-    match, and multiplied as IEEE doubles, so each weight is the float the
-    scalar formula gives.  Most bases recur as some other row's 1 - p, so each
-    distinct base's powers are computed once.
+    np.float_power's float64 loop calls the C library's pow, as Python's **
+    does; np.power may use a SIMD pow that differs in the last bit.  p and
+    1 - p are correctly rounded like their scalar forms and the two powers
+    are multiplied as IEEE doubles, so each weight is the float the scalar
+    formula gives.
     """
-    exponents = [float(k) for k in range(n + 1)]
-    powers = {}
-
-    def row(b: float) -> np.ndarray:
-        # operator.pow is b ** k; a float exponent skips a conversion per call.
-        if b not in powers:
-            powers[b] = np.fromiter(map(operator.pow, repeat(b), exponents), float, n + 1)
-        return powers[b]
-
-    w = np.empty((n - 1, n + 1))
-    for i in range(2, n + 1):
-        p = (i - 1) / n
-        np.multiply(row(1.0 - p)[::-1], row(p), out=w[i - 2])
+    p = (np.arange(1, n) / n)[:, None]
+    k = np.arange(n + 1, dtype=float)
+    w = np.float_power(1.0 - p, k[::-1])
+    w *= np.float_power(p, k)
     return _read_only(w)
 
 

@@ -221,7 +221,7 @@ def test_edf_profile_equals_reference_at_n1000(index, name):
     # The reference takes about half a second here, so each distribution gets
     # one scale and data kind, cycling through those that are not all zero
     # (rounding at scale 1e-5).  A weight table from np.power instead of
-    # Python's pow fails here.
+    # np.float_power fails here wherever np.power dispatches to a SIMD pow.
     variants = [v for v in EDF_VARIANTS if v != (1e-5, True)]
     [s] = edf_oracle_samples(1000, name, [variants[index % len(variants)]])
     p = lk_edf(s)
@@ -243,6 +243,29 @@ def test_edf_weights_built_once_per_n():
             lk_edf(make_sample(sample(normal(), n, RngStream(seed, ("edf-cache", n)))))
         assert _edf_weights.cache_info().misses == misses
     assert _edf_weights.cache_info().hits == 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 200, 511, 1000])
+def test_edf_weights_equal_scalar_pow_table(n):
+    # Row i - 2 of the docstring formula with Python's **, p = (i - 1) / n.
+    expected = np.array([
+        [(1 - p) ** (n - k) * p ** k for k in range(n + 1)]
+        for p in ((i - 1) / n for i in range(2, n + 1))
+    ])
+    assert _edf_weights(n).tobytes() == expected.tobytes()
+
+
+def test_edf_weights_build_peak_memory():
+    # The build may hold one temporary table beside the result, no more.
+    table = 999 * 1001 * 8
+    _edf_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        _edf_weights(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table + (1 << 20)
 
 
 def test_edf_weights_are_read_only():
@@ -287,22 +310,36 @@ def test_numeric_matches_exponential_closed_form():
         assert lk_numeric(dist, n, n) == math.inf
 
 
+def fresh_process_lines(code):
+    """Output lines of ``code`` run by a new interpreter that imports this mediancr."""
+    src = str(Path(mediancr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True).stdout.splitlines()
+
+
 def test_import_loads_no_optimize_or_integrate():
     # Only lk_numeric needs scipy.integrate; nothing needs scipy.optimize.
-    code = (
+    out = fresh_process_lines(
         "import sys, mediancr, mediancr.cli\n"
         "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n"
         "from mediancr.distributions import exponential\n"
         "from mediancr.spacings import lk_numeric\n"
         "print(repr(lk_numeric(exponential(1.0), 10, 3)), 'scipy.integrate' in sys.modules)\n"
     )
-    src = str(Path(mediancr.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120, check=True).stdout.splitlines()
     assert out[0] == "[]"
     assert out[1] == f"{lk_numeric(exponential(1.0), 10, 3)!r} True"
+
+
+def test_import_loads_no_process_pool():
+    # Only run_simulation with workers > 1 needs the process pool.
+    out = fresh_process_lines(
+        "import sys, mediancr, mediancr.cli\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    assert out == ["[]"]
 
 
 def test_numeric_exponential_frozen_value():
