@@ -176,8 +176,10 @@ def kde_at_median(sample: SortedSample) -> float:
     h = 0.9 * min(sample.sd, iqr / 1.34) * n ** (-0.2)
     if h <= 0.0:
         raise DegenerateDataError("zero bandwidth: sample has no usable spread")
-    z = (sample.median - sample.as_array()) / h
-    f_hat = float(np.mean(np.exp(-0.5 * z * z)) / (h * math.sqrt(2.0 * math.pi)))
+    # Past the float range z or f_hat is inf or nan, which the check below refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (sample.median - sample.as_array()) / h
+        f_hat = float(np.mean(np.exp(-0.5 * z * z)) / (h * math.sqrt(2.0 * math.pi)))
     if not 0.0 < f_hat < math.inf:
         raise UnsupportedSizeError(f"density estimate {f_hat!r} (bandwidth {h!r}): "
                                    "the data's spread is outside the float range")

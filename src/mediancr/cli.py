@@ -32,7 +32,7 @@ from .methods import METHODS, compute_region, parse_method_ids
 from .optimal import assemble_region, conservative_region, select_gamma0
 from .regions import json_float, make_sample, region_from_gamma0
 from .simulate import SimConfig, results_to_csv, run_simulation
-from .spacings import lk_exponential, lk_uniform
+from .spacings import FIXED_PROFILES
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -79,16 +79,27 @@ def _read_data(path: str) -> list[float]:
 
 
 def _jitter_ties(values: list[float], eps: float, rng: RngStream) -> tuple[list[float], bool]:
-    """Perturb every member of each tied set by an independent uniform(-eps, eps)."""
+    """Perturb every member of each tied set by an independent uniform(-eps, eps).
+
+    Also returns whether any value moved: an EPS far below a tied value's
+    spacing of floats leaves it where it was.
+    """
     counts = Counter(values)
     tied_idx = [i for i, v in enumerate(values) if counts[v] > 1]
-    if not tied_idx:
-        return values, False
-    draws = rng.generator().random(len(tied_idx))
     out = list(values)
-    for i, d in zip(tied_idx, draws):
+    for i, d in zip(tied_idx, rng._rekeyed().random(len(tied_idx))):
         out[i] = values[i] + eps * (2.0 * d - 1.0)
-    return out, True
+    return out, out != values
+
+
+def _tie_hint(exc: ValueError, srt, eps: float | None) -> str:
+    """Ties or no spread can be jittered away; a size limit or too few observations cannot."""
+    if not isinstance(exc, DegenerateDataError):
+        return ""
+    if eps is None:
+        return "; consider --jitter"
+    tied = next((a for a, b in zip(srt.values, srt.values[1:]) if a == b), None)
+    return "" if tied is None else f"; {tied!r} is still tied: --jitter {eps!r} is too small to move it"
 
 
 def _region_payload(region) -> dict:
@@ -134,11 +145,8 @@ def _cmd_cr(args) -> int:
                 region = (compute_region(m, srt, args.alpha, u=u, boot=boot) if sel is None
                           else assemble_region(srt, sel, u))
         except ValueError as exc:
-            # Ties or no spread can be jittered away; a size limit or too few
-            # observations cannot.
-            hint = isinstance(exc, DegenerateDataError) and args.jitter is None
-            print(f"error: method {m} ({info.name}): {exc}"
-                  + ("; consider --jitter" if hint else ""), file=sys.stderr)
+            print(f"error: method {m} ({info.name}): {exc}{_tie_hint(exc, srt, args.jitter)}",
+                  file=sys.stderr)
             return EXIT_INFEASIBLE if isinstance(exc, InfeasibleLevelError) else EXIT_DATA
         entry = {
             "method": m,
@@ -217,7 +225,7 @@ def _cmd_table(args) -> int:
     n, focus = args.n, args.focus
     if n < 1:
         raise ValueError(f"--n must be >= 1, got {n}")
-    profile = lk_uniform(n) if focus == "uniform" else lk_exponential(n)
+    profile = FIXED_PROFILES[focus](n)
     print(f"focus={focus} n={n}")
     print("k\tr(k)\tP(B=k)")
     for k in range(n + 1):
@@ -275,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("table", help="print the ratio/selection table for a profile")
     p_tab.add_argument("--n", type=int, required=True)
-    p_tab.add_argument("--focus", choices=("uniform", "exponential"), default="exponential")
+    p_tab.add_argument("--focus", choices=tuple(FIXED_PROFILES), default="exponential")
     p_tab.add_argument("--alpha", type=float, default=None)
     p_tab.set_defaults(func=_cmd_table)
     return parser

@@ -24,7 +24,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,32 +88,32 @@ def _check_binom_k(k: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _binom_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # C(n, k) and its prefix sums: the pmf and the CDF of Binomial(n, 1/2),
-    # each scaled by 2**n, so every mass and comparison is an exact integer.
-    # The exact recurrence C(n, k + 1) = C(n, k) (n - k) / (k + 1): one small
-    # multiply and divide per entry, far cheaper than a math.comb call each.
+def _binom_row(n: int) -> tuple[int, ...]:
+    # C(n, k): the pmf of Binomial(n, 1/2) scaled by 2**n, so every mass and
+    # comparison is an exact integer.  The exact recurrence
+    # C(n, k + 1) = C(n, k) (n - k) / (k + 1): one small multiply and divide
+    # per entry, far cheaper than a math.comb call each.
     counts = [1]
     for k in range(n):
         counts.append(counts[k] * (n - k) // (k + 1))
-    return tuple(counts), tuple(accumulate(counts))
+    return tuple(counts)
 
 
 def binom_counts(n: int) -> tuple[int, ...]:
     """C(n, k) for k = 0..n: the Binomial(n, 1/2) pmf scaled by 2**n."""
-    return _binom_tables(_check_binom_n(n))[0]
+    return _binom_row(_check_binom_n(n))
 
 
 def binom_pmf_fraction(k: int, n: int) -> Fraction:
     """Exact P{B = k} for B ~ Binomial(n, 1/2), as a Fraction."""
     n = _check_binom_k(k, n)
-    return Fraction(_binom_tables(n)[0][k], 1 << n)
+    return Fraction(_binom_row(n)[k], 1 << n)
 
 
 def binom_cdf(k: int, n: int) -> float:
     """P{B <= k} for B ~ Binomial(n, 1/2), exact up to the final rounding."""
     n = _check_binom_k(k, n)
-    return _binom_tables(n)[1][k] / (1 << n)
+    return sum(_binom_row(n)[:k + 1]) / (1 << n)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ holds exactly.  Binomial masses are dyadic rationals and the accounting is
 done in exact arithmetic, so the identity survives to within one float
 rounding.
 
-Four selection builders feed it: two fixed profiles (uniform shape and
-exponential shape) and two adaptive ones that estimate the profile from the
-observed sample.  ``assemble_region`` realizes a selection for one uniform
-draw u; ``methods.METHODS`` pairs each builder with it.
+Four selection builders feed it: the two closed forms of
+``spacings.FIXED_PROFILES``, cached per (n, alpha), and two adaptive ones
+that estimate the profile from the observed sample.  ``assemble_region``
+realizes a selection for one uniform draw u; ``methods.METHODS`` pairs each
+builder with it.
 """
 
 from __future__ import annotations
@@ -33,14 +34,7 @@ import numpy as np
 from .distributions import binom_counts
 from .errors import InfeasibleLevelError, UnsupportedSizeError
 from .regions import Region, SortedSample, region_from_gamma0
-from .spacings import (
-    RATIO_TIE_RTOL,
-    LkProfile,
-    lk_edf,
-    lk_exponential,
-    lk_mom,
-    lk_uniform,
-)
+from .spacings import FIXED_PROFILES, RATIO_TIE_RTOL, LkProfile, lk_edf, lk_mom
 
 __all__ = [
     "Gamma0Selection",
@@ -157,33 +151,21 @@ def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
     start = ends[admitted - 1] if admitted else 0
     included = ks[:start]
     cum = running[start - 1] if start else 0
-    if admitted < len(ends):
-        tie_ratio, tie_ks = ratios[admitted], ks[start:ends[admitted]]
-    else:
-        tie_ratio, tie_ks = 0.0, []
-
+    tie_ratio = ratios[admitted] if admitted < len(ends) else 0.0
+    # At a natural confidence coefficient the admitted mass alone is exact and
+    # the tie set is empty.
+    tie_ks = ks[start:ends[admitted]] if admitted < len(ends) and cum < target else []
     if not tie_ks and cum < target:
         raise InfeasibleLevelError(
             requested=1.0 - alpha,
             attainable=cum / scale,
             detail="every count with a finite spacing is already admitted",
         )
-
-    remainder = target - cum
-    if remainder == 0:
-        # Natural confidence coefficient: the admitted mass alone is exact.
-        return Gamma0Selection(
-            n=n, alpha=alpha,
-            included=frozenset(included), tie_set=frozenset(),
-            c=tie_ratio, gamma=0.0,
-            p_included=cum / scale, p_tie=0.0,
-        )
-    tie_mass = running[ends[admitted] - 1] - cum
-    gamma = float(remainder / tie_mass)
+    tie_mass = sum(map(counts.__getitem__, tie_ks))
     return Gamma0Selection(
         n=n, alpha=alpha,
         included=frozenset(included), tie_set=frozenset(tie_ks),
-        c=tie_ratio, gamma=gamma,
+        c=tie_ratio, gamma=float((target - cum) / tie_mass) if tie_ks else 0.0,
         p_included=cum / scale, p_tie=tie_mass / scale,
     )
 
@@ -208,13 +190,9 @@ def conservative_region(sample: SortedSample, selection: Gamma0Selection) -> Reg
 
 
 @lru_cache(maxsize=None)
-def _uniform_selection(n: int, alpha: float) -> Gamma0Selection:
-    return select_gamma0(lk_uniform(n), alpha)
-
-
-@lru_cache(maxsize=None)
-def _exponential_selection(n: int, alpha: float) -> Gamma0Selection:
-    return select_gamma0(lk_exponential(n), alpha)
+def _fixed_selection(name: str, n: int, alpha: float) -> Gamma0Selection:
+    """The selection under the closed-form profile ``FIXED_PROFILES[name]``."""
+    return select_gamma0(FIXED_PROFILES[name](n), alpha)
 
 
 def symmetric_selection(sample: SortedSample, alpha: float) -> Gamma0Selection:
@@ -224,12 +202,12 @@ def symmetric_selection(sample: SortedSample, alpha: float) -> Gamma0Selection:
     from the center outward and the realized region is one interval between
     mirrored order statistics.  Every ratio is positive: any level is feasible.
     """
-    return _uniform_selection(sample.n, alpha)
+    return _fixed_selection("uniform", sample.n, alpha)
 
 
 def exponential_selection(sample: SortedSample, alpha: float) -> Gamma0Selection:
     """Selection under the exponential-shape profile; it depends on (n, alpha) alone."""
-    return _exponential_selection(sample.n, alpha)
+    return _fixed_selection("exponential", sample.n, alpha)
 
 
 def adaptive_mom_selection(sample: SortedSample, alpha: float) -> Gamma0Selection:

@@ -89,8 +89,13 @@ class SortedSample:
 
     @cached_property
     def sd(self) -> float:
-        """Sample standard deviation (ddof=1), computed once; needs n >= 2."""
-        return float(np.std(self.array, ddof=1))
+        """Sample standard deviation (ddof=1), computed once; needs n >= 2.
+
+        Not finite, without a numpy warning, when the sum of the values or of
+        the squared deviations overflows.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.std(self.array, ddof=1))
 
     def as_array(self) -> np.ndarray:
         """The values as a read-only float64 array."""

@@ -7,12 +7,14 @@ support and X_(n+1) = sup of the support.  Equivalently
     l(k) = C(n, k) * integral of F(x)^k (1 - F(x))^(n-k) dx.
 
 A profile pairs these gaps with the selection ratios r(k) = b(k; n, 1/2) / l(k)
-that drive the randomized region constructions.  Two closed forms matter:
+that drive the randomized region constructions.  Two closed forms matter;
+``FIXED_PROFILES`` maps each name to its builder.  A scale change multiplies
+every l(k) by one constant and changes no selection, so both are at unit scale:
 
-* uniform on [-a, a]: l(k) = 2a / (n + 1) for every k, so r(k) is proportional
+* uniform(-1, 1): l(k) = 2 / (n + 1) for every k, so r(k) is proportional
   to C(n, k);
-* exponential(rate): l(k) = 1 / (rate * (n - k)) for k < n and l(n) = +inf,
-  so r(k) is proportional to C(n - 1, k) with r(n) = 0.
+* exponential(1): l(k) = 1 / (n - k) for k < n and l(n) = +inf, so r(k) is
+  proportional to C(n - 1, k) with r(n) = 0.
 
 Profiles from closed forms carry an exact integer representation of the ratio
 ordering so tie groups are detected without floating-point comparisons.  Data
@@ -37,6 +39,7 @@ from .regions import SortedSample
 __all__ = [
     "RATIO_TIE_RTOL",
     "LkProfile",
+    "FIXED_PROFILES",
     "lk_uniform",
     "lk_exponential",
     "lk_mom",
@@ -111,35 +114,31 @@ def _ratios_from_l(n: int, l) -> tuple[float, ...]:
         return tuple((_binom_pmfs(n) / np.asarray(l, dtype=float)).tolist())
 
 
-@lru_cache(maxsize=None)
-def lk_uniform(n: int, half_width: float = 1.0) -> LkProfile:
-    """Profile of the uniform distribution on [-half_width, half_width].
+def lk_uniform(n: int) -> LkProfile:
+    """Profile of the uniform distribution on [-1, 1].
 
-    All n + 1 spacings equal 2 * half_width / (n + 1); the ratio ordering is
-    that of the binomial coefficients C(n, k).
+    All n + 1 spacings equal 2 / (n + 1); the ratio ordering is that of the
+    binomial coefficients C(n, k).
     """
     counts = binom_counts(n)  # checks 1 <= n <= MAX_BINOM_N before anything of size n is built
-    if half_width <= 0.0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    gap = 2.0 * half_width / (n + 1)
-    l = (gap,) * (n + 1)
+    l = (2.0 / (n + 1),) * (n + 1)
     return LkProfile(n, l, _ratios_from_l(n, l), counts)
 
 
-@lru_cache(maxsize=None)
-def lk_exponential(n: int, rate: float = 1.0) -> LkProfile:
-    """Profile of the exponential distribution with the given rate.
+def lk_exponential(n: int) -> LkProfile:
+    """Profile of the exponential distribution with rate 1.
 
-    l(k) = 1 / (rate * (n - k)) for k < n; the top spacing is infinite because
-    the support is unbounded above.  Ratios are proportional to C(n - 1, k)
-    with r(n) = 0.
+    l(k) = 1 / (n - k) for k < n; the top spacing is infinite because the
+    support is unbounded above.  Ratios are proportional to C(n - 1, k) with
+    r(n) = 0.
     """
     binom_counts(n)  # checks 1 <= n <= MAX_BINOM_N before anything of size n is built
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    l = tuple(1.0 / (rate * (n - k)) for k in range(n)) + (math.inf,)
+    l = tuple(1.0 / (n - k) for k in range(n)) + (math.inf,)
     exact = binom_counts(n - 1) + (0,) if n > 1 else (1, 0)
     return LkProfile(n, l, _ratios_from_l(n, l), exact)
+
+
+FIXED_PROFILES = {"uniform": lk_uniform, "exponential": lk_exponential}
 
 
 def lk_mom(sample: SortedSample) -> LkProfile:

@@ -91,8 +91,8 @@ def test_worked_example_exponential_n10():
 def test_closed_forms_and_quadrature_agree():
     """Exact closed forms; quadrature within 1e-6 at interior k for n <= 12."""
     for n in range(2, 13):
-        u_prof = lk_uniform(n, half_width=1.0)
-        e_prof = lk_exponential(n, rate=1.0)
+        u_prof = lk_uniform(n)
+        e_prof = lk_exponential(n)
         for k in range(n + 1):
             assert u_prof.l[k] == pytest.approx(2.0 / (n + 1), rel=1e-15)
             if k < n:

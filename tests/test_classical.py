@@ -359,7 +359,8 @@ def percentile_kde(s):
     """Oracle: the KDE at the median with the IQR from np.percentile."""
     arr = s.as_array()
     q75, q25 = np.percentile(arr, [75.0, 25.0])
-    h = 0.9 * min(float(np.std(arr, ddof=1)), (q75 - q25) / 1.34) * s.n ** (-0.2)
+    with np.errstate(over="ignore"):  # np.std squares past the float range on [-1e-300, 1e300]
+        h = 0.9 * min(float(np.std(arr, ddof=1)), (q75 - q25) / 1.34) * s.n ** (-0.2)
     if h <= 0.0:
         return "degenerate"
     with np.errstate(over="ignore"):
@@ -393,6 +394,35 @@ def test_quartiles_equal_numpy_percentile(values):
     except UnsupportedSizeError:
         got = "outside float range"
     assert repr(got) == repr(percentile_kde(s))
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 0.0, 0.0, -1.0, -2.225073858507e-311],  # subnormal bandwidth: z and f_hat overflow
+    [-1.7e308, -1.7e308, -1.7e308, 1.7e308, 1.7e308],  # infinite bandwidth: z is inf / inf
+    [-1.7e308, -1e308, 0.0, 1e308, 1.7e308, 1.5e308, -1.2e308],  # infinite bandwidth: the estimate is 0
+])
+def test_kde_outside_the_float_range_raises_without_a_numpy_warning(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedSizeError, match="outside the float range"):
+            kde_at_median(make_sample(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 5e-324, 0.0]),
+), min_size=2, max_size=30))
+@example(values=[0.0] * 12 + [-9.9792015476736e291, 1.7976931348623157e308,
+                             1.7976931348623157e308, -1.7976931348623157e308])  # sd is nan
+def test_kde_is_silent_on_any_finite_data(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            f = kde_at_median(make_sample(values))
+        except (DegenerateDataError, UnsupportedSizeError):
+            return
+    assert 0.0 < f < math.inf
 
 
 def test_kde_scale_law():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,11 @@ from mediancr.cli import (
     EXIT_OK,
     EXIT_PIPE,
     EXIT_USAGE,
+    _jitter_ties,
     main,
 )
+from mediancr.distributions import RngStream
+from mediancr.spacings import FIXED_PROFILES
 
 DATA = [3.7, -1.2, 0.4, 2.2, 5.9, -0.8, 1.3, 0.9, 4.1, 2.8]
 
@@ -69,6 +73,17 @@ def test_table_infeasible_level(capsys):
 
 def test_table_usage_error(capsys):
     assert main(["table", "--n", "0"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("focus", ["normal", "cauchy", "Uniform", ""])
+def test_table_focus_outside_the_closed_forms_is_a_usage_error(capsys, focus):
+    assert tuple(FIXED_PROFILES) == ("uniform", "exponential")
+    with pytest.raises(SystemExit) as info:
+        main(["table", "--n", "10", "--focus", focus])
+    assert info.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid choice: '{focus}'" in captured.err
 
 
 @pytest.mark.parametrize("focus", ["uniform", "exponential"])
@@ -326,6 +341,30 @@ def test_cr_jitter_resolves_ties(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == doc
 
 
+def test_cr_jitter_draws_the_stream_generator_bytes():
+    values = [2.0, 1.0, 2.0, 3.0, 1.0, 1.0]
+    draws = iter(RngStream(3, ("jitter",)).generator().random(5))
+    expected = [v if v == 3.0 else v + 0.5 * (2.0 * next(draws) - 1.0) for v in values]
+    assert _jitter_ties(values, 0.5, RngStream(3, ("jitter",))) == (expected, True)
+    assert _jitter_ties([1.0, 2.0], 0.5, RngStream(3, ("jitter",))) == ([1.0, 2.0], False)
+
+
+def test_cr_jitter_too_small_to_move_a_tie_is_not_flagged_and_named(tmp_path, capsys):
+    # 1.0 + 1e-300 * v rounds back to 1.0, so no value moves.
+    p = tmp_path / "tied.txt"
+    p.write_text("1 1 2 3 4 5 6 7 8 9")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["cr", "--input", str(p), "--methods", "1", "--jitter", "1e-300"]) == EXIT_OK
+        [res] = json.loads(capsys.readouterr().out)["results"]
+        assert res["flags"] == []
+        assert main(["cr", "--input", str(p), "--methods", "12",
+                     "--jitter", "1e-300"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith("; 1.0 is still tied: --jitter 1e-300 is too small to move it")
+    assert "consider --jitter" not in err
+
+
 def test_cr_jitter_leaves_distinct_data_alone(datafile, capsys):
     assert main(["cr", "--input", datafile, "--methods", "3", "--seed", "1",
                  "--jitter", "1e-6"]) == EXIT_OK
@@ -434,8 +473,8 @@ CLI_BATTERY = [
     (None, ["cr", "--input", "three.txt", "--methods", "3,13", "--format", "csv"]),
     # Exit 4: the signed-rank window is undefined at n = 3.
     (None, ["cr", "--input", "three.txt", "--methods", "2"]),
-    # Exit 3 on tied data: with the jitter hint, and without it once --jitter
-    # is given (an EPS too small to move 1.0 leaves the ties in place).
+    # Exit 3 on tied data: with the jitter hint, and once --jitter is given
+    # with an EPS too small to move 1.0, with a hint that names the tie left.
     (None, ["cr", "--input", "tied.txt", "--methods", "12"]),
     (None, ["cr", "--input", "tied.txt", "--methods", "12", "--jitter", "1e-300"]),
     (None, ["cr", "--input", "big.txt", "--methods", "2"]),
@@ -494,5 +533,5 @@ def test_cli_frozen_digest(tmp_path, monkeypatch, capsys):
     output; a refactor that moves it is a regression."""
     text = cli_transcript(tmp_path, monkeypatch, capsys)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "16677c4e7a48d0eb2c2c60189fbe834bb2b6f5eb8f6a6362dd3d23e4509f041b"
+        "5d1888098d6c669960e317f61b8dea903a2c309424fcf448e25863410c599845"
     )

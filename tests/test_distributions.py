@@ -12,7 +12,7 @@ from mediancr.distributions import (
     _FAMILIES,
     DistributionSpec,
     RngStream,
-    _binom_tables,
+    _binom_row,
     _brentq,
     _signed_rank_prefix,
     binom_cdf,
@@ -103,7 +103,7 @@ def test_binom_large_n_no_overflow():
 def test_binom_counts_equal_math_comb_for_every_n():
     # The uncached builder, so the test does not keep every table alive.
     for n in range(1, 1001):
-        assert _binom_tables.__wrapped__(n)[0] == tuple(math.comb(n, k) for k in range(n + 1)), n
+        assert _binom_row.__wrapped__(n) == tuple(math.comb(n, k) for k in range(n + 1)), n
     assert binom_counts(57) == tuple(math.comb(57, k) for k in range(58))
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mediancr import optimal
 from mediancr.classical import cr_sign
 from mediancr.distributions import (
     RngStream,
@@ -18,6 +19,7 @@ from mediancr.distributions import (
     normal,
 )
 from mediancr.errors import InfeasibleLevelError
+from mediancr.methods import METHODS, compute_region
 from mediancr.optimal import (
     Gamma0Selection,
     _ratio_groups,
@@ -30,7 +32,15 @@ from mediancr.optimal import (
     symmetric_selection,
 )
 from mediancr.regions import Interval, Region, make_sample
-from mediancr.spacings import RATIO_TIE_RTOL, LkProfile, lk_edf, lk_exponential, lk_mom, lk_uniform
+from mediancr.spacings import (
+    FIXED_PROFILES,
+    RATIO_TIE_RTOL,
+    LkProfile,
+    lk_edf,
+    lk_exponential,
+    lk_mom,
+    lk_uniform,
+)
 
 # ---------------------------------------------------------------------------
 # Selection: frozen worked examples
@@ -447,6 +457,30 @@ def test_sign_region_equals_wide_branch(n, alpha):
     s = make_sample(data)
     wide, _ = two_sided_randomized(s, alpha, 0.0)
     assert cr_sign(s, alpha) == wide
+
+
+def test_methods_3_and_10_share_one_cached_selection_and_11_has_its_own(monkeypatch):
+    built = []
+
+    def counting(profile, alpha):
+        built.append(profile.exact_ratio)
+        return select_gamma0(profile, alpha)
+
+    optimal._fixed_selection.cache_clear()
+    monkeypatch.setattr(optimal, "select_gamma0", counting)
+    a, b = make_sample(range(12)), make_sample([0.5 * x * x for x in range(12)])
+    sym = METHODS[10].selection(a, 0.05)
+    for s in (a, b):
+        assert symmetric_selection(s, 0.05) is sym
+        assert compute_region(3, s, 0.05) == conservative_region(s, sym)
+        assert compute_region(10, s, 0.05, u=0.9) == assemble_region(s, sym, 0.9)
+    exp = METHODS[11].selection(a, 0.05)
+    assert exponential_selection(b, 0.05) is exp and exp != sym
+    assert compute_region(11, b, 0.05, u=0.9) == assemble_region(b, exp, 0.9)
+    # One profile and one selection per closed form at (12, 0.05).
+    assert built == [FIXED_PROFILES["uniform"](12).exact_ratio,
+                     FIXED_PROFILES["exponential"](12).exact_ratio]
+    assert symmetric_selection(a, 0.1) is not sym and len(built) == 3
 
 
 def test_adaptive_mom_matches_symmetric_on_equally_spaced_data():

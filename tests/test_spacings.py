@@ -46,25 +46,17 @@ from mediancr.spacings import (
 
 
 def test_uniform_profile_values():
-    p = lk_uniform(4, half_width=1.0)
+    p = lk_uniform(4)
     assert p.n == 4
     assert p.l == (0.4, 0.4, 0.4, 0.4, 0.4)
     assert p.exact_ratio == (1, 4, 6, 4, 1)
     assert p.is_exact
 
 
-def test_uniform_profile_scales_with_half_width():
-    assert lk_uniform(4, half_width=3.0).l == tuple(5 * [6.0 / 5.0])
-    # Ratios are scale free.
-    assert lk_uniform(4, half_width=3.0).exact_ratio == lk_uniform(4).exact_ratio
-
-
 def test_exponential_profile_values():
-    p = lk_exponential(3, rate=1.0)
+    p = lk_exponential(3)
     assert p.l == (1.0 / 3.0, 0.5, 1.0, math.inf)
     assert p.exact_ratio == (1, 2, 1, 0)
-    q = lk_exponential(2, rate=2.0)
-    assert q.l == (0.25, 0.5, math.inf)
 
 
 def test_exponential_profile_n10_ratios():
