@@ -232,19 +232,26 @@ class BootstrapDistribution:
 def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> BootstrapDistribution:
     """Medians of ``breps`` with-replacement resamples, deterministic in rng.
 
-    The values are ascending, so a resample's median sits at the middle
-    column(s) of its sorted index row; no resampled values are gathered.
+    The resample indices are ``rng.generator().integers(0, n, size=(breps, n),
+    dtype=np.int32)``: each is floor(w * n / 2**32) of an accepted 32-bit word
+    w (``RngStream.bounded_words``).  That map is nondecreasing in w, so
+    sorting a row of words sorts its indices; the values are ascending, so a
+    resample's median sits at the middle column(s) of its sorted row, and only
+    those words are mapped.  No resampled values are gathered.
     """
     if breps < 1:
         raise ValueError(f"breps must be >= 1, got {breps}")
     n = sample.n
     arr = sample.as_array()
-    # int32 draws the same integers as the default int64 and sorts faster.
-    idx = np.sort(rng._rekeyed().integers(0, n, size=(breps, n), dtype=np.int32), axis=1)
+    words = rng.bounded_words(n, breps * n).reshape(breps, n)
+    words.sort(axis=1)
     mid = n // 2
+
+    def column(j: int) -> np.ndarray:
+        return arr[(words[:, j].astype(np.uint64) * n) >> 32]
+
     # Summed from +0.0 as np.median does: -0.0 data give 0.0, an underflowed mean -0.0.
-    med = (0.0 + arr[idx[:, mid]] if n % 2
-           else midpoint(0.0 + arr[idx[:, mid - 1]], arr[idx[:, mid]]))
+    med = 0.0 + column(mid) if n % 2 else midpoint(0.0 + column(mid - 1), column(mid))
     med = np.sort(med)
     med.flags.writeable = False
     return BootstrapDistribution(tuple(med.tolist()), sample.median, med)
@@ -324,6 +331,9 @@ def cr_bootstrap(
     if variant == "se":
         if sample.n < 2:
             raise ValueError(f"need n >= 2, got {sample.n}")
+        if boot.breps < 2:
+            raise UnsupportedSizeError(f"the bootstrap standard error needs breps >= 2, "
+                                       f"got {boot.breps}")
         se = float(np.std(boot.medians_array, ddof=1))
         if se == 0.0:
             return _closed(m, m)

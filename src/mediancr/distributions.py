@@ -563,6 +563,11 @@ def study_distributions() -> dict[str, DistributionSpec]:
 # gives the same variates; only the thread's current stream is ever live.
 _SHARED = threading.local()
 _PHILOX_ZERO = np.zeros(4, dtype=np.uint64)
+# Words per block of ``RngStream.bounded_words``'s rejection pass.  The
+# allocator serves its 64 KiB temporaries from pages it already holds; with
+# 256 KiB blocks, one simulate run of 280 bootstrap draws (n = 20 and 50,
+# breps 2000) took about 22,000 minor page faults instead of 200.
+_WORD_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -576,10 +581,11 @@ class RngStream:
     one value.  Key components may be ints or strings; both hash
     deterministically across platforms and processes.
 
-    The library's internal draws (``uniform``, ``sample`` and the bootstrap
-    resamples) do not construct a generator: they re-key one per-thread Philox
-    to the start of the stream, draw everything they need, and return.  The
-    variates are those ``generator()`` would give.
+    The library's internal draws (``uniform``, ``sample`` and
+    ``bounded_words``, which the bootstrap resamples use) do not construct a
+    generator: they re-key one per-thread Philox to the start of the stream,
+    draw everything they need, and return.  The variates are those
+    ``generator()`` would give.
     """
 
     master_seed: int
@@ -627,6 +633,50 @@ class RngStream:
     def uniform(self) -> float:
         """One uniform draw from the head of the stream."""
         return float(self._rekeyed().random())
+
+    def bounded_words(self, n: int, count: int) -> np.ndarray:
+        """The 32-bit words behind ``generator().integers(0, n, size=count, dtype=np.int32)``.
+
+        That draw (numpy's Lemire method) takes the stream's 32-bit words in
+        order, low half of each 64-bit output first, rejects a word w when
+        w * n mod 2**32 < 2**32 mod n, and returns floor(w * n / 2**32).  This
+        returns the ``count`` accepted words as a uint32 array, so
+        ``(words.astype(np.uint64) * n) >> 32`` are those integers.  At n = 1
+        numpy draws nothing and every integer is 0, which the map gives too.
+        """
+        if not 1 <= n <= 2 ** 31:
+            raise ValueError(f"n must be in 1..2**31, got {n}")
+        bitgen = self._rekeyed().bit_generator
+        factor = np.uint32(n)
+        threshold = (1 << 32) % n
+
+        def accepted(k: int) -> np.ndarray:
+            # Every word drawn is filtered, the spare high half of the last
+            # output too, before the caller cuts to ``count``: a rejected word
+            # lets the next one in, as in numpy.
+            words = _split_words(bitgen.random_raw(-(-k // 2)))
+            if not threshold:
+                return words
+            # Compacted in place a block at a time, so the scratch stays small.
+            end = 0
+            for start in range(0, len(words), _WORD_BLOCK):
+                block = words[start:start + _WORD_BLOCK]
+                low = block * factor  # w * n mod 2**32
+                if low.min() < threshold or end < start:
+                    block = block[low >= threshold]
+                    words[end:end + len(block)] = block
+                end += len(block)
+            return words[:end]
+
+        words = accepted(count)
+        while len(words) < count:
+            words = np.concatenate((words, accepted(count - len(words))))
+        return words[:count]
+
+
+def _split_words(raw: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of 64-bit outputs, low half first, whatever the byte order."""
+    return raw.astype("<u8", copy=False).view("<u4")
 
 
 def sample(dist: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:

@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -505,11 +506,56 @@ def test_bootstrap_medians_near_the_float_limit_are_finite_and_silent():
     "n, breps", [(2, 500), (3, 500), (20, 200), (50, 200), (1000, 20), (100_000, 2)]
 )
 def test_int32_resample_indices_equal_int64(n, breps):
+    # The word draw behind bootstrap_medians, numpy's int32 draw and its
+    # default int64 draw give the same integers.
     for seed in range(20):
         rng = RngStream(seed, ("boot",))
         wide = rng.generator().integers(0, n, size=(breps, n))
         narrow = rng.generator().integers(0, n, size=(breps, n), dtype=np.int32)
+        words = rng.bounded_words(n, breps * n).reshape(breps, n)
         assert np.array_equal(wide, narrow), seed
+        assert np.array_equal((words.astype(np.uint64) * n) >> 32, narrow), seed
+
+
+def median_oracle(s: SortedSample, breps: int, rng: RngStream) -> np.ndarray:
+    # np.median of the gathered resamples on numpy's own int32 draw.
+    idx = rng.generator().integers(0, s.n, size=(breps, s.n), dtype=np.int32)
+    return np.sort(np.median(s.as_array()[idx], axis=1))
+
+
+@pytest.mark.parametrize("n, breps", [(10, 500), (20, 2000), (50, 2000), (1000, 2000)])
+def test_bootstrap_medians_equal_numpy_median_at_benchmark_sizes(n, breps):
+    for seed in range(3):
+        s = make_sample(sample(normal(), n, RngStream(seed, ("bench", n))))
+        rng = RngStream(seed, ("boot",))
+        boot = bootstrap_medians(s, breps, rng)
+        assert boot.medians_array.tobytes() == median_oracle(s, breps, rng).tobytes(), seed
+
+
+def rejects_a_word(rng: RngStream, n: int, count: int) -> bool:
+    # Whether numpy's int32 draw rejects any of the first ``count`` words:
+    # w * n mod 2**32 below 2**32 mod n.
+    raw = rng.generator().bit_generator.random_raw(-(-count // 2))
+    words = raw.astype("<u8").view("<u4").astype(np.uint64)
+    return bool(np.any((words * n) % 2**32 < 2**32 % n))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_bootstrap_medians_peak_memory_is_two_resample_matrices(seed):
+    # Seed 7 rejects a word, so the compaction pass runs as well.
+    n, breps = 1000, 2000
+    s = make_sample(sample(normal(), n, RngStream(seed, ("mem",))))
+    rng = RngStream(seed, ("boot",))
+    assert rejects_a_word(rng, n, breps * n) == (seed == 7)
+    bootstrap_medians(s, 1, rng)  # the shared generator and lazy imports are set up
+    tracemalloc.start()
+    try:
+        boot = bootstrap_medians(s, breps, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * breps * n * 4 + 2**20
+    assert boot.medians_array.tobytes() == median_oracle(s, breps, rng).tobytes()
 
 
 def loop_acceleration(s: SortedSample) -> float:
@@ -573,6 +619,16 @@ def test_se_interval_uses_t_scale():
     half = t_quantile(0.975, 4) * se
     assert iv.lo == pytest.approx(50.5 - half, rel=1e-14)
     assert iv.hi == pytest.approx(50.5 + half, rel=1e-14)
+
+
+def test_se_interval_needs_two_resamples():
+    # One bootstrap median has no standard error; refused before numpy divides by zero.
+    s = make_sample([1.0, 2.0, 3.0, 4.0, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        boot = bootstrap_medians(s, 1, RngStream(2, ("boot",)))
+        with pytest.raises(UnsupportedSizeError, match="breps >= 2, got 1"):
+            cr_bootstrap(s, 0.05, boot, "se")
 
 
 def test_se_interval_constant_medians_collapses():

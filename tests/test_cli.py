@@ -295,6 +295,13 @@ def test_cr_unsupported_size_exits_without_jitter_hint(tmp_path, capsys):
     assert "jitter" not in err
 
 
+def test_cr_bootstrap_se_with_one_resample_names_breps(datafile, capsys):
+    # One bootstrap median has no spread to estimate; the data are not at fault.
+    assert main(["cr", "--input", datafile, "--methods", "6", "--breps", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "error: method 6 (boot_se_t): the bootstrap standard error needs breps >= 2, got 1\n"
+
+
 @pytest.mark.parametrize("n, method", [(1001, 3), (1001, 13), (1100, 13)])
 def test_cr_binomial_size_cap_exits_without_jitter_hint(tmp_path, capsys, n, method):
     p = tmp_path / "big.txt"

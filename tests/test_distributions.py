@@ -15,6 +15,7 @@ from mediancr.distributions import (
     _binom_row,
     _brentq,
     _signed_rank_prefix,
+    _split_words,
     binom_cdf,
     binom_counts,
     binom_pmf_fraction,
@@ -472,6 +473,48 @@ def test_shared_generator_draws_what_fresh_generators_draw():
             idx = boot_rng.generator().integers(0, data.n, size=(n, data.n), dtype=np.int32)
             expected = np.sort(np.median(data.as_array()[np.sort(idx, axis=1)], axis=1))
             assert boot.medians_array.tobytes() == expected.tobytes()
+
+
+BOUNDS = [1, 2, 3, 7, 64, 1000, 100_003, 2**31 - 1, 1431655766, 2**30 + 1]
+
+
+@pytest.mark.parametrize("n", BOUNDS)
+@pytest.mark.parametrize("count", [1, 2, 999, 1000, 200_001])
+def test_bounded_words_map_to_numpys_int32_draw(n, count):
+    # Odd counts leave the high half of the last 64-bit output spare.  At the
+    # last two bounds a third and a quarter of the words are rejected; at
+    # 100_003 about one in 10**5, so of the blocks that 200_001 words span
+    # some reject a word and later ones do not.
+    for seed in range(6):
+        rng = RngStream(seed, ("words", n, count))
+        words = rng.bounded_words(n, count)
+        assert words.dtype == np.uint32 and len(words) == count
+        expected = rng.generator().integers(0, n, size=count, dtype=np.int32)
+        assert np.array_equal((words.astype(np.uint64) * n) >> 32, expected), seed
+
+
+def test_bounded_words_top_up_from_the_same_stream():
+    n, count = 1431655766, 1001
+    rng = RngStream(3, ("top-up",))
+    # The first ceil(count / 2) outputs hold too few accepted words, so the
+    # draw must take more from the stream.
+    first = _split_words(rng.generator().bit_generator.random_raw(-(-count // 2)))
+    assert np.count_nonzero(first * np.uint32(n) >= 2**32 % n) < count
+    expected = rng.generator().integers(0, n, size=count, dtype=np.int32)
+    assert np.array_equal((rng.bounded_words(n, count).astype(np.uint64) * n) >> 32, expected)
+
+
+def test_split_words_is_low_half_first_on_either_byte_order():
+    raw = RngStream(8, ("split",)).generator().bit_generator.random_raw(5)
+    halves = [h for x in raw.tolist() for h in (x & 0xFFFFFFFF, x >> 32)]
+    for copy in (raw, raw.astype(">u8"), raw.astype("<u8")):
+        assert _split_words(copy).tolist() == halves
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**31 + 1])
+def test_bounded_words_rejects_bad_bounds(n):
+    with pytest.raises(ValueError, match="n must be in"):
+        RngStream(1).bounded_words(n, 4)
 
 
 def test_generator_is_fresh_and_independent():
