@@ -17,12 +17,14 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .distributions import (
     RngStream,
+    _signed_rank_cdf_count,
     norm_cdf,
     norm_quantile,
     signed_rank_null_cdf,
@@ -75,7 +77,8 @@ def cr_t(sample: SortedSample, alpha: float) -> Region:
     n = sample.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    mean = float(np.mean(sample.as_array()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(sample.as_array()))
     sd = sample.sd
     if sd == 0.0:
         return _closed(mean, mean)
@@ -85,13 +88,22 @@ def cr_t(sample: SortedSample, alpha: float) -> Region:
 
 @lru_cache(maxsize=None)
 def _lower_cutoff(n: int, alpha: float) -> int:
-    """Largest w in 0..top = n(n+1)/2 with signed-rank CDF(w) <= alpha/2, or -1.
+    """Largest w in 0..top = n(n+1)/2 with P{W+ <= w} <= alpha/2 exactly, or -1.
 
     The null law is symmetric, so 1 - CDF(w) = CDF(top - 1 - w) exactly and the
-    upper cutoff is top - 1 - k1.  Searched once per (n, alpha) by bisection.
+    upper cutoff is top - 1 - k1.  Searched once per (n, alpha) by bisection on
+    the correctly rounded CDF.  Rounding is monotone, so a float above or below
+    alpha/2 is decided; only a float equal to alpha/2 (a natural level) is
+    decided by the exact count.
     """
-    return bisect.bisect_left(range(n * (n + 1) // 2 + 1), True,
-                              key=lambda w: signed_rank_null_cdf(w, n) > alpha / 2.0) - 1
+    half, exact_half = alpha / 2.0, Fraction(alpha) / 2
+
+    def above(w: int) -> bool:
+        cdf = signed_rank_null_cdf(w, n)
+        return cdf > half or (cdf == half
+                              and Fraction(_signed_rank_cdf_count(n, w), 1 << n) > exact_half)
+
+    return bisect.bisect_left(range(n * (n + 1) // 2 + 1), True, key=above) - 1
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +276,8 @@ def jackknife_acceleration(sample: SortedSample) -> float:
     leave-one-out medians from their mean.  Dropping one point of the sorted
     sample shifts its middle by at most one place, so there are at most three
     distinct leave-one-out medians.  A zero denominator (all leave-one-out
-    medians equal) yields 0.
+    medians equal) yields 0; one past the float range yields nan, which
+    cr_bootstrap refuses, since the ratio is scale-free and 0 would be wrong.
     """
     n = sample.n
     if n < 2:
@@ -279,11 +292,14 @@ def jackknife_acceleration(sample: SortedSample) -> float:
     else:
         loo[:m] = a[m]
         loo[m:] = a[m - 1]
-    d = loo.mean() - loo
-    denom = float(np.sum(d * d)) ** 1.5
-    if denom == 0.0:
-        return 0.0
-    return float(np.sum(d ** 3)) / (6.0 * denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = loo.mean() - loo
+        denom = 6.0 * np.sum(d * d) ** 1.5
+        if denom == 0.0:
+            return 0.0
+        if not np.isfinite(denom):
+            return math.nan
+        return float(np.sum(d ** 3) / denom)
 
 
 def _clamped_p0(boot: BootstrapDistribution) -> float:

@@ -28,7 +28,7 @@ from collections import Counter
 from .classical import bootstrap_medians
 from .distributions import RngStream, binom_pmf_fraction, exponential, study_distributions
 from .errors import DegenerateDataError, InfeasibleLevelError
-from .methods import METHODS, compute_region, parse_method_ids
+from .methods import METHOD_ID_RANGE, METHODS, compute_region, parse_method_ids
 from .optimal import assemble_region, conservative_region, select_gamma0
 from .regions import json_float, make_sample, region_from_gamma0
 from .simulate import SimConfig, results_to_csv, run_simulation
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cr = sub.add_parser("cr", help="compute confidence regions for a data file")
     p_cr.add_argument("--input", required=True, help="text file of numbers (whitespace or comma separated)")
     p_cr.add_argument("--alpha", type=float, default=0.05)
-    p_cr.add_argument("--methods", default="all", help="'all' or comma-separated ids in 1..13")
+    p_cr.add_argument("--methods", default="all", help=f"'all' or comma-separated ids in {METHOD_ID_RANGE}")
     p_cr.add_argument("--seed", type=int, default=None)
     p_cr.add_argument("--breps", type=int, default=2000, help="bootstrap resamples for methods 5..9")
     p_cr.add_argument("--jitter", type=float, default=None, metavar="EPS",

@@ -204,8 +204,16 @@ def _signed_rank_prefix(n: int) -> np.ndarray:
     return c
 
 
-def _signed_rank_count(prefix: np.ndarray, w: int) -> int:
-    """Entry w of the limb table as one Python int."""
+def _signed_rank_cdf_count(n: int, w: int) -> int:
+    """2**n * P{W+ <= w} for w in 0..n(n+1)/2, as one Python int.
+
+    The lower half is read from the limb table; by the symmetry W+ ~ top - W+,
+    the upper half is 2**n - 2**n * P{W+ <= top - 1 - w}.
+    """
+    prefix = _signed_rank_prefix(n)
+    top = n * (n + 1) // 2
+    if w >= prefix.shape[1]:
+        return (1 << n) - (_signed_rank_cdf_count(n, top - 1 - w) if w < top else 0)
     value = 0
     for limb in prefix[::-1, w].tolist():
         value = (value << _LIMB_BITS) | limb
@@ -226,11 +234,7 @@ def signed_rank_null_cdf(w: int, n: int) -> float:
     top = n * (n + 1) // 2
     if not 0 <= w <= top:
         raise ValueError(f"w must be in 0..{top}, got {w}")
-    prefix = _signed_rank_prefix(n)
-    if w < prefix.shape[1]:
-        return _signed_rank_count(prefix, w) / (1 << n)
-    # Symmetry W+ ~ top - W+ gives P{W+ <= w} = 1 - P{W+ <= top - 1 - w}.
-    return ((1 << n) - (_signed_rank_count(prefix, top - 1 - w) if w < top else 0)) / (1 << n)
+    return _signed_rank_cdf_count(n, w) / (1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +305,9 @@ class _Family(NamedTuple):
     cdf: Callable
     pdf: Callable
     quantile: Callable
+    # (*params) -> bool, the parameter rule.  Its positional argument count is the
+    # family's arity, so write it with one named argument per param: no defaults, no *args.
+    valid: Callable
     support: Callable = lambda *params: (-math.inf, math.inf)  # (*params) -> (lower, upper)
     # nu with F ~ |x|**-nu in each unbounded tail; inf for tails lighter than every power.
     tail_index: float = math.inf
@@ -359,9 +366,9 @@ def _mixture_pdf(x, w1, m1, s1, m2, s2):
 
 def _mixture_quantile_scalar(p: float, *params) -> float:
     w1, m1, s1, m2, s2 = params
-    lo = min(m1 + s1 * _special.ndtri(p), m2 + s2 * _special.ndtri(p))
-    hi = max(m1 + s1 * _special.ndtri(p), m2 + s2 * _special.ndtri(p))
+    z = _special.ndtri(p)
     # The component quantiles bracket the mixture quantile.
+    lo, hi = sorted((m1 + s1 * z, m2 + s2 * z))
     if lo == hi:
         return lo
     return _brentq(lambda x: _mixture_cdf(x, *params) - p, lo, hi,
@@ -380,17 +387,20 @@ _FAMILIES: dict[str, _Family] = {
         cdf=lambda x, mu, sigma: _special.ndtr((x - mu) / sigma),
         pdf=_normal_pdf,
         quantile=lambda u, mu, sigma: mu + sigma * _special.ndtri(u),
+        valid=lambda mu, sigma: sigma > 0.0,
     ),
     "cauchy": _Family(
         cdf=lambda x, x0, scale: 0.5 + np.arctan((x - x0) / scale) / np.pi,
         pdf=_cauchy_pdf,
         quantile=lambda u, x0, scale: x0 + scale * np.tan(np.pi * (u - 0.5)),
+        valid=lambda x0, scale: scale > 0.0,
         tail_index=1.0,
     ),
     "uniform": _Family(
         cdf=lambda x, a, b: np.clip((x - a) / (b - a), 0.0, 1.0),
         pdf=lambda x, a, b: np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0),
         quantile=lambda u, a, b: a + (b - a) * u,
+        valid=lambda a, b: a < b,
         support=lambda a, b: (a, b),
         median=midpoint,
     ),
@@ -398,11 +408,13 @@ _FAMILIES: dict[str, _Family] = {
         cdf=lambda x, mu, s: _special.expit((x - mu) / s),
         pdf=_logistic_pdf,
         quantile=lambda u, mu, s: mu + s * (np.log(u) - np.log1p(-u)),
+        valid=lambda mu, s: s > 0.0,
     ),
     "gamma": _Family(
         cdf=lambda x, shape, rate: _special.gammainc(shape, rate * np.maximum(x, 0.0)),
         pdf=_gamma_pdf,
         quantile=lambda u, shape, rate: _special.gammaincinv(shape, u) / rate,
+        valid=lambda shape, rate: shape > 0.0 and rate > 0.0,
         support=lambda *p: (0.0, math.inf),
     ),
     "weibull": _Family(
@@ -410,12 +422,14 @@ _FAMILIES: dict[str, _Family] = {
             x > 0.0, -np.expm1(-((np.maximum(x, 0.0) / scale) ** shape)), 0.0),
         pdf=_weibull_pdf,
         quantile=lambda u, shape, scale: scale * (-np.log1p(-u)) ** (1.0 / shape),
+        valid=lambda shape, scale: shape > 0.0 and scale > 0.0,
         support=lambda *p: (0.0, math.inf),
     ),
     "exponential": _Family(
         cdf=lambda x, rate: np.where(x > 0.0, -np.expm1(-rate * np.maximum(x, 0.0)), 0.0),
         pdf=lambda x, rate: np.where(x > 0.0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0),
         quantile=lambda u, rate: -np.log1p(-u) / rate,
+        valid=lambda rate: rate > 0.0,
         support=lambda *p: (0.0, math.inf),
     ),
     "normal_mixture": _Family(
@@ -423,6 +437,7 @@ _FAMILIES: dict[str, _Family] = {
         pdf=_mixture_pdf,
         quantile=lambda u, *p: np.vectorize(
             lambda q: _mixture_quantile_scalar(q, *p), otypes=[float])(u),
+        valid=lambda w1, m1, s1, m2, s2: 0.0 < w1 < 1.0 and s1 > 0.0 and s2 > 0.0,
         draw=_mixture_draw,
     ),
 }
@@ -432,19 +447,26 @@ _FAMILIES: dict[str, _Family] = {
 class DistributionSpec:
     """A fully parameterized error distribution.
 
-    ``family`` is one of ``normal``, ``cauchy``, ``uniform``, ``logistic``,
-    ``gamma``, ``weibull``, ``exponential``, ``normal_mixture``; ``params``
-    holds the family's parameters in a fixed documented order (see the
-    constructor functions).  Instances are immutable and hashable, so they
-    can key caches and cross process boundaries.
+    ``family`` names a ``_FAMILIES`` entry; ``params`` holds its parameters in
+    the order of the constructor functions.  Every spec is validated, however
+    it is built: params become floats and must fit the family's rule (count,
+    finiteness, range), else ValueError.  Instances are immutable and
+    hashable, so they can key caches and cross process boundaries.
     """
 
     family: str
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        family = _FAMILIES.get(self.family)
+        if family is None:
+            raise ValueError(f"unknown family {self.family!r} with params {self.params!r}")
+        params = tuple(map(float, self.params))
+        arity = family.valid.__code__.co_argcount
+        if not (len(params) == arity and all(map(math.isfinite, params)) and family.valid(*params)):
+            raise ValueError(f"family {self.family!r} needs {arity} finite params in its range, "
+                             f"got {self.params!r}")
+        object.__setattr__(self, "params", params)
 
     @property
     def label(self) -> str:
@@ -485,59 +507,38 @@ class DistributionSpec:
 
 def normal(mean: float = 0.0, sd: float = 1.0) -> DistributionSpec:
     """Normal(mean, sd); ``sd`` is the standard deviation."""
-    if sd <= 0.0:
-        raise ValueError(f"sd must be positive, got {sd}")
-    return DistributionSpec("normal", (float(mean), float(sd)))
+    return DistributionSpec("normal", (mean, sd))
 
 
 def cauchy(location: float = 0.0, scale: float = 1.0) -> DistributionSpec:
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return DistributionSpec("cauchy", (float(location), float(scale)))
+    return DistributionSpec("cauchy", (location, scale))
 
 
 def uniform(low: float = -1.0, high: float = 1.0) -> DistributionSpec:
-    if not low < high:
-        raise ValueError(f"need low < high, got ({low}, {high})")
-    return DistributionSpec("uniform", (float(low), float(high)))
+    return DistributionSpec("uniform", (low, high))
 
 
 def logistic(location: float = 0.0, scale: float = 1.0) -> DistributionSpec:
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return DistributionSpec("logistic", (float(location), float(scale)))
+    return DistributionSpec("logistic", (location, scale))
 
 
 def gamma(shape: float, rate: float = 1.0) -> DistributionSpec:
     """Gamma with shape-rate parameterization (mean = shape / rate)."""
-    if shape <= 0.0 or rate <= 0.0:
-        raise ValueError(f"shape and rate must be positive, got ({shape}, {rate})")
-    return DistributionSpec("gamma", (float(shape), float(rate)))
+    return DistributionSpec("gamma", (shape, rate))
 
 
 def weibull(shape: float, scale: float = 1.0) -> DistributionSpec:
-    if shape <= 0.0 or scale <= 0.0:
-        raise ValueError(f"shape and scale must be positive, got ({shape}, {scale})")
-    return DistributionSpec("weibull", (float(shape), float(scale)))
+    return DistributionSpec("weibull", (shape, scale))
 
 
 def exponential(rate: float = 1.0) -> DistributionSpec:
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    return DistributionSpec("exponential", (float(rate),))
+    return DistributionSpec("exponential", (rate,))
 
 
 def normal_mixture(weight1: float, mean1: float, sd1: float,
                    mean2: float, sd2: float) -> DistributionSpec:
     """Two-component normal mixture; ``weight1`` is the first component's weight."""
-    if not 0.0 < weight1 < 1.0:
-        raise ValueError(f"weight1 must be in (0, 1), got {weight1}")
-    if sd1 <= 0.0 or sd2 <= 0.0:
-        raise ValueError(f"component sds must be positive, got ({sd1}, {sd2})")
-    return DistributionSpec(
-        "normal_mixture",
-        (float(weight1), float(mean1), float(sd1), float(mean2), float(sd2)),
-    )
+    return DistributionSpec("normal_mixture", (weight1, mean1, sd1, mean2, sd2))
 
 
 def study_distributions() -> dict[str, DistributionSpec]:

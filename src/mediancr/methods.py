@@ -34,7 +34,7 @@ from .optimal import (
 )
 from .regions import Region, SortedSample
 
-__all__ = ["MethodInfo", "METHODS", "ALL_METHOD_IDS", "compute_region", "parse_method_ids"]
+__all__ = ["MethodInfo", "METHODS", "ALL_METHOD_IDS", "method_info", "compute_region", "parse_method_ids"]
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,15 @@ METHODS: dict[int, MethodInfo] = {info.method_id: info for info in (
 )}
 
 ALL_METHOD_IDS = tuple(sorted(METHODS))
+METHOD_ID_RANGE = f"{ALL_METHOD_IDS[0]}..{ALL_METHOD_IDS[-1]}"
+
+
+def method_info(method_id: int) -> MethodInfo:
+    """The ``METHODS`` entry of ``method_id``; ValueError names the valid range."""
+    try:
+        return METHODS[method_id]
+    except KeyError:
+        raise ValueError(f"unknown method id {method_id}; valid ids are {METHOD_ID_RANGE}") from None
 
 
 def compute_region(
@@ -107,9 +116,7 @@ def compute_region(
     require ``boot``.  Supplying what a method does not need is harmless, so
     a caller may prepare both once and evaluate several methods.
     """
-    if method_id not in METHODS:
-        raise ValueError(f"unknown method id {method_id}; valid ids are 1..13")
-    info = METHODS[method_id]
+    info = method_info(method_id)
     if info.randomized and u is None:
         raise ValueError(f"method {method_id} is randomized and needs u")
     if info.needs_bootstrap and boot is None:
@@ -121,18 +128,13 @@ def parse_method_ids(text: str) -> tuple[int, ...]:
     """Parse a CLI method list: 'all' or comma-separated ids, deduplicated."""
     if text.strip().lower() == "all":
         return ALL_METHOD_IDS
-    ids = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    ids = set()
+    for part in filter(None, map(str.strip, text.split(","))):
         try:
             mid = int(part)
         except ValueError:
             raise ValueError(f"method ids must be integers, got {part!r}") from None
-        if mid not in METHODS:
-            raise ValueError(f"unknown method id {mid}; valid ids are 1..13")
-        ids.append(mid)
+        ids.add(method_info(mid).method_id)
     if not ids:
         raise ValueError("no method ids given")
-    return tuple(sorted(set(ids)))
+    return tuple(sorted(ids))

@@ -1,5 +1,6 @@
 """Classical intervals: t, signed rank, sign counts, asymptotic, bootstrap."""
 
+import itertools
 import math
 import pickle
 import random
@@ -293,6 +294,58 @@ def test_sign_region_exact_at_natural_levels():
         assert mass - counts[lo] - counts[hi - 1] < target, (n, alpha)
     r = cr_sign(make_sample(range(1, 58)), 0.2892437471090205)
     assert r.intervals == (Interval(24.0, 34.0),)
+
+
+def signed_rank_counts_by_n(sizes):
+    """Oracle: {n: number of subsets of 1..n with each sum w}, by the subset-sum DP."""
+    counts, out = [1], {}
+    for j in range(1, max(sizes) + 1):
+        counts = counts + [0] * j
+        for w in range(len(counts) - 1, j - 1, -1):
+            counts[w] += counts[w - j]
+        if j in sizes:
+            out[j] = counts
+    return out
+
+
+def sidon_sample(n):
+    """n <= 211 integers whose pairwise sums a + b, a <= b, all differ (Erdos-Turan, p = 211)."""
+    return [float(2 * 211 * k + k * k % 211) for k in range(n)]
+
+
+def natural_signed_rank_levels(counts_by_n):
+    """(n, alpha) with alpha = 2 float(P{W+ <= w}) for up to 40 random w per n."""
+    rng = random.Random(2)
+    cases = [(57, 0.12782812452221481)]
+    for n, counts in counts_by_n.items():
+        cum = list(itertools.accumulate(counts))
+        ws = range(len(counts) // 2 + 1)
+        for w in sorted(rng.sample(ws, min(40, len(ws)))):
+            cases.append((n, 2 * float(Fraction(cum[w], 2 ** n))))
+    return [(n, alpha) for n, alpha in cases if alpha < 1.0]
+
+
+def test_signed_rank_region_exact_at_natural_levels():
+    # alpha/2 sits within one rounding of a signed-rank CDF value, so only an
+    # exact comparison picks the narrowest symmetric window with null mass at
+    # least 1 - alpha.  On a Sidon sample every Walsh average is distinct, and
+    # the window [W_(k1+1), W_(top-k1)) admits W+ in k1 + 1..top - k1 - 1.
+    counts_by_n = signed_rank_counts_by_n({10, 30, 57, 100, 200})
+    for n, alpha in natural_signed_rank_levels(counts_by_n):
+        counts, top = counts_by_n[n], n * (n + 1) // 2
+        values = sidon_sample(n)
+        rank = {v: k for k, v in enumerate(walsh_sorted(values))}
+        target = (1 - Fraction(alpha)) * 2 ** n
+        [iv] = cr_wilcoxon(make_sample(values), alpha).intervals
+        k1, k2 = rank[iv.lo], rank[iv.hi]
+        assert k1 + k2 == top - 1, (n, alpha)
+        mass = sum(counts[k1 + 1:k2 + 1])
+        assert mass >= target, (n, alpha)
+        assert mass - counts[k1 + 1] - counts[k2] < target, (n, alpha)
+    # The rounded CDF at w = 634 equals alpha/2 here while the exact one exceeds it.
+    walsh = walsh_sorted(sidon_sample(57))
+    [iv] = cr_wilcoxon(make_sample(sidon_sample(57)), 0.12782812452221481).intervals
+    assert (iv.lo, iv.hi) == (walsh[633], walsh[1019])
 
 
 def test_wilcoxon_region_equals_linear_scan_window():
@@ -668,6 +721,18 @@ def test_jackknife_acceleration_variants():
     assert jackknife_acceleration(skew) == pytest.approx(1599.48 / (6.0 * 425.8 ** 1.5), rel=1e-13)
     # Even n: the leave-one-out medians split m / m over two values, so a = 0.
     assert jackknife_acceleration(make_sample([1.0, 2.0, 3.0, 10.0, 20.0, 30.0])) == 0.0
+
+
+def test_jackknife_acceleration_is_nan_past_the_float_range():
+    # The ratio is scale-free: at 1e100 it matches scale 1, and where its
+    # denominator overflows (1e103, or only the factor 6 at 6e102) it is nan, not 0.
+    skew = [-5.0, -4.0, -3.0, -2.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    a = jackknife_acceleration(make_sample(skew))
+    assert a == pytest.approx(0.0091747, rel=1e-4)
+    assert jackknife_acceleration(make_sample(skew[:6] + [1e100 * v for v in skew[6:]])) \
+        == pytest.approx(a, rel=1e-12)
+    for scale in (6e102, 1e103):
+        assert math.isnan(jackknife_acceleration(make_sample(skew[:6] + [scale * v for v in skew[6:]])))
 
 
 def test_jackknife_acceleration_flat_medians():

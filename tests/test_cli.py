@@ -212,6 +212,30 @@ def test_cr_closed_stdout_exits_quietly(datafile):
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
+@pytest.mark.parametrize("extra", [[], ["--sizes", "10,11", "--workers", "2"]])
+def test_simulate_under_warnings_as_errors_writes_only_the_csv(extra):
+    # One resample saturates the bias correction of methods 8 and 9 on every
+    # replication; the clamping is part of those methods, so no warning may
+    # reach stderr, from this process or from a pool worker.
+    src = str(Path(mediancr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "mediancr.cli", "simulate", "--dists", "normal",
+         "--sizes", "10", "--reps", "3", "--breps", "1", "--methods", "8,9", "--out", "-", *extra],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    rows = proc.stdout.splitlines()
+    assert rows[0].startswith("method,dist,n,") and len(rows) == 1 + 2 * (1 + bool(extra))
+
+
+def test_cr_keeps_the_clamping_flag(datafile, capsys):
+    assert main(["cr", "--input", datafile, "--methods", "8,9", "--breps", "1"]) == EXIT_OK
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [r["flags"] for r in results] == [["ClampedProbabilityWarning"]] * 2
+
+
 def test_cr_explain_json(datafile, capsys):
     assert main(["cr", "--input", datafile, "--methods", "11", "--seed", "1",
                  "--explain"]) == EXIT_OK

@@ -391,6 +391,59 @@ def test_constructor_validation():
         DistributionSpec("bogus", ())
 
 
+# One valid parameter tuple per family, and a tuple that breaks each rule.
+VALID_PARAMS = {
+    "normal": (0.0, 1.0), "cauchy": (0.0, 1.0), "uniform": (-1.0, 1.0),
+    "logistic": (0.0, 1.0), "gamma": (2.0, 1.0), "weibull": (0.5, 1.0),
+    "exponential": (1.0,), "normal_mixture": (0.6, -5.0, 3.0, 5.0, 2.0),
+}
+RULE_BREAKERS = {
+    "normal": [(0.0, 0.0), (0.0, -1.0)],
+    "cauchy": [(0.0, 0.0), (0.0, -1.0)],
+    "uniform": [(1.0, 1.0), (1.0, -1.0)],
+    "logistic": [(0.0, 0.0), (0.0, -1.0)],
+    "gamma": [(0.0, 1.0), (2.0, -1.0)],
+    "weibull": [(-0.5, 1.0), (0.5, 0.0)],
+    "exponential": [(0.0,), (-1.0,)],
+    "normal_mixture": [(0.0, -5.0, 3.0, 5.0, 2.0), (1.0, -5.0, 3.0, 5.0, 2.0),
+                       (0.6, -5.0, 0.0, 5.0, 2.0), (0.6, -5.0, 3.0, 5.0, -2.0)],
+}
+
+
+def test_every_family_has_a_valid_and_a_rule_breaking_case():
+    assert set(VALID_PARAMS) == set(RULE_BREAKERS) == set(_FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_spec_built_directly_is_validated(family):
+    good = VALID_PARAMS[family]
+    bad = [good[:-1], good + (1.0,), *RULE_BREAKERS[family]]
+    for i in range(len(good)):
+        bad += [good[:i] + (v,) + good[i + 1:] for v in (math.nan, math.inf, -math.inf)]
+    for params in bad:
+        with pytest.raises(ValueError, match=f"family '{family}'") as info:
+            DistributionSpec(family, params)
+        assert repr(params) in str(info.value)
+    DistributionSpec(family, good)
+
+
+def test_list_params_give_the_constructors_hashable_spec():
+    for built, params in [(normal(), [0, 1]), (uniform(-1.0, 1.0), [-1, 1.0]),
+                          (exponential(), [1]), (normal_mixture(0.6, -5.0, 3.0, 5.0, 2.0),
+                                                 [0.6, -5, 3, 5, 2])]:
+        spec = DistributionSpec(built.family, params)
+        assert spec == built and hash(spec) == hash(built)
+        assert spec.params == built.params and all(type(p) is float for p in spec.params)
+        assert {spec: 1}[built] == 1
+
+
+def test_study_labels_are_unchanged():
+    assert [d.label for d in ALL_SPECS] == [
+        "normal(0;1)", "cauchy(0;1)", "uniform(-1;1)", "logistic(0;1)", "gamma(2;1)",
+        "weibull(0.5;1)", "normal_mixture(0.6;-5;3;5;2)", "exponential(1)",
+    ]
+
+
 def test_labels_are_csv_safe():
     for dist in ALL_SPECS:
         assert "," not in dist.label

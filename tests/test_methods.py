@@ -24,6 +24,7 @@ from mediancr.methods import (
     ALL_METHOD_IDS,
     METHODS,
     compute_region,
+    method_info,
     parse_method_ids,
 )
 from mediancr.optimal import (
@@ -35,6 +36,7 @@ from mediancr.optimal import (
     symmetric_selection,
 )
 from mediancr.regions import Interval, Region, make_sample
+from mediancr.simulate import SimConfig
 
 ALPHA = 0.05
 
@@ -227,6 +229,52 @@ def test_dispatch_requires_u_and_boot():
         compute_region(5, s, 0.05)
     with pytest.raises(ValueError, match="unknown method"):
         compute_region(14, s, 0.05, u=0.5)
+
+
+def test_unknown_method_id_message_reads_the_table():
+    valid = f"valid ids are {ALL_METHOD_IDS[0]}..{ALL_METHOD_IDS[-1]}"
+    s = fixture_sample()
+    calls = [
+        (0, lambda: compute_region(0, s, 0.05, u=0.5)),
+        (14, lambda: parse_method_ids("3,14")),
+        (14, lambda: SimConfig(distributions=(normal(),), sample_sizes=(10,), alpha=0.05,
+                               reps=1, breps=1, methods=(3, 14), master_seed=0)),
+    ]
+    for bad, call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"unknown method id {bad}; {valid}"
+    assert all(method_info(m) is METHODS[m] for m in ALL_METHOD_IDS)
+
+
+# Data whose BCa acceleration overflows: the spread of the leave-one-out
+# medians is about 1e150, so the sum of their squared deviations to the power
+# 1.5 exceeds the largest float.
+WIDE_SPREAD = [1e150 * i * (-1) ** i for i in range(1, 12)]
+# Here only the denominator overflows while the sum of cubes stays finite, so an
+# unchecked ratio reads 0 instead of about 0.0092: at 1e103 the power 1.5
+# overflows, at 6e102 only the factor 6 does.
+SKEWED = [-5.0, -4.0, -3.0, -2.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize("method_id, data", [
+    (1, NEAR_FLOAT_LIMIT),
+    (1, [-1.7e308, -1e308, 0.0, 1e308, 1.7e308, 1.5e308, -1.2e308]),
+    (9, NEAR_FLOAT_LIMIT),
+    (9, [-1.7e308, -1e308, 0.0, 1e308, 1.7e308, 1.5e308, -1.2e308]),
+    (9, WIDE_SPREAD),
+    (9, SKEWED[:6] + [1e103 * v for v in SKEWED[6:]]),
+    (9, SKEWED[:6] + [6e102 * v for v in SKEWED[6:]]),
+])
+def test_overflowing_estimates_end_in_a_size_error_without_warnings(method_id, data):
+    # The t interval's mean and BCa's jackknife overflow here; numpy's
+    # RuntimeWarning stays inside the library and the region is refused.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = make_sample(data)
+        boot = bootstrap_medians(s, 200, RngStream(5, ("boot",)))
+        with pytest.raises(UnsupportedSizeError, match="float range"):
+            compute_region(method_id, s, ALPHA, boot=boot)
 
 
 def test_dispatch_ignores_unneeded_extras():
