@@ -60,8 +60,8 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _closed(lo: float, hi: float) -> Region:
-    """[lo, hi]; a nan endpoint, or both ends at one infinity, is an overflowed estimate."""
-    if not hi - lo >= 0.0:
+    """[lo, hi]; an infinite or nan endpoint is an overflowed estimate."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise UnsupportedSizeError(f"interval [{lo!r}, {hi!r}]: "
                                    "the data's spread is outside the float range")
     return Region((Interval(float(lo), float(hi), closed_hi=True),))
@@ -350,7 +350,8 @@ def cr_bootstrap(
         if boot.breps < 2:
             raise UnsupportedSizeError(f"the bootstrap standard error needs breps >= 2, "
                                        f"got {boot.breps}")
-        se = float(np.std(boot.medians_array, ddof=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            se = float(np.std(boot.medians_array, ddof=1))
         if se == 0.0:
             return _closed(m, m)
         half = t_quantile(1.0 - alpha / 2.0, sample.n - 1) * se

@@ -26,7 +26,7 @@ import warnings
 from collections import Counter
 
 from .classical import bootstrap_medians
-from .distributions import RngStream, binom_pmf_fraction, exponential, study_distributions
+from .distributions import RngStream, binom_counts, exponential, study_distributions
 from .errors import DegenerateDataError, InfeasibleLevelError
 from .methods import METHOD_ID_RANGE, METHODS, compute_region, parse_method_ids
 from .optimal import assemble_region, conservative_region, select_gamma0
@@ -228,10 +228,9 @@ def _cmd_table(args) -> int:
     profile = FIXED_PROFILES[focus](n)
     print(f"focus={focus} n={n}")
     print("k\tr(k)\tP(B=k)")
-    for k in range(n + 1):
-        r_int = profile.exact_ratio[k]
-        p = binom_pmf_fraction(k, n)
-        print(f"{k}\t{r_int}\t{float(p):.10f}")
+    # int / int is correctly rounded, as float(Fraction) is.
+    for k, (r_int, c) in enumerate(zip(profile.exact_ratio, binom_counts(n))):
+        print(f"{k}\t{r_int}\t{c / (1 << n):.10f}")
     if args.alpha is not None:
         try:
             sel = select_gamma0(profile, args.alpha)

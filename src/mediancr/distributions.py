@@ -2,8 +2,8 @@
 
 This module collects the distribution-side machinery:
 
-* the exact Binomial(n, 1/2) counts, pmf and cdf (dyadic rationals, no
-  rounding in the arithmetic, only in the final float conversion),
+* the exact Binomial(n, 1/2) counts and cdf (dyadic rationals, no rounding
+  in the arithmetic, only in the final float conversion),
 * normal and Student-t quantiles,
 * the exact null distribution of the Wilcoxon signed-rank statistic,
 * the error-distribution specifications used by the simulation study, one
@@ -22,7 +22,6 @@ import hashlib
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -36,7 +35,6 @@ __all__ = [
     "MAX_BINOM_N",
     "MAX_SIGNED_RANK_N",
     "binom_cdf",
-    "binom_pmf_fraction",
     "binom_counts",
     "norm_cdf",
     "norm_quantile",
@@ -80,13 +78,6 @@ def _check_binom_n(n: int) -> int:
     return int(n)
 
 
-def _check_binom_k(k: int, n: int) -> int:
-    n = _check_binom_n(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in 0..{n}, got {k}")
-    return n
-
-
 @lru_cache(maxsize=None)
 def _binom_row(n: int) -> tuple[int, ...]:
     # C(n, k): the pmf of Binomial(n, 1/2) scaled by 2**n, so every mass and
@@ -104,15 +95,11 @@ def binom_counts(n: int) -> tuple[int, ...]:
     return _binom_row(_check_binom_n(n))
 
 
-def binom_pmf_fraction(k: int, n: int) -> Fraction:
-    """Exact P{B = k} for B ~ Binomial(n, 1/2), as a Fraction."""
-    n = _check_binom_k(k, n)
-    return Fraction(_binom_row(n)[k], 1 << n)
-
-
 def binom_cdf(k: int, n: int) -> float:
     """P{B <= k} for B ~ Binomial(n, 1/2), exact up to the final rounding."""
-    n = _check_binom_k(k, n)
+    n = _check_binom_n(n)
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in 0..{n}, got {k}")
     return sum(_binom_row(n)[:k + 1]) / (1 << n)
 
 

@@ -6,8 +6,9 @@ support and X_(n+1) = sup of the support.  Equivalently
 
     l(k) = C(n, k) * integral of F(x)^k (1 - F(x))^(n-k) dx.
 
-A profile pairs these gaps with the selection ratios r(k) = b(k; n, 1/2) / l(k)
-that drive the randomized region constructions.  Two closed forms matter;
+A profile is built from these gaps alone and derives from them the selection
+ratios r(k) = b(k; n, 1/2) / l(k) that drive the randomized region
+constructions.  Two closed forms matter;
 ``FIXED_PROFILES`` maps each name to its builder.  A scale change multiplies
 every l(k) by one constant and changes no selection, so both are at unit scale:
 
@@ -27,7 +28,7 @@ only the finite ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -61,18 +62,19 @@ class LkProfile:
         Sample size.
     l : tuple of float
         Expected spacings l(0..n); entries may be +inf.
-    ratio : tuple of float
-        Selection ratios r(k) = binom_pmf(k, n) / l(k); 0.0 where l(k) is
-        infinite.
     exact_ratio : tuple of int or None
-        When the profile comes from a closed form, integers proportional to
-        the ratios (common positive scale), enabling exact tie grouping.
+        Keyword-only.  When the profile comes from a closed form, integers
+        proportional to the ratios (common positive scale), enabling exact
+        tie grouping.
+    ratio : tuple of float
+        Derived from ``l``: the selection ratios r(k) = binom_pmf(k, n) / l(k),
+        0.0 where l(k) is infinite and inf where it is 0.
     """
 
     n: int
     l: tuple[float, ...]
-    ratio: tuple[float, ...]
-    exact_ratio: tuple[int, ...] | None = None
+    exact_ratio: tuple[int, ...] | None = field(default=None, kw_only=True)
+    ratio: tuple[float, ...] = field(init=False)
 
     @property
     def is_exact(self) -> bool:
@@ -81,12 +83,19 @@ class LkProfile:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"profile needs n >= 1, got {self.n}")
-        if len(self.l) != self.n + 1 or len(self.ratio) != self.n + 1:
-            raise ValueError("profile arrays must have n + 1 entries")
+        if len(self.l) != self.n + 1:
+            raise ValueError("spacings must have n + 1 entries")
         if self.exact_ratio is not None and len(self.exact_ratio) != self.n + 1:
             raise ValueError("exact_ratio must have n + 1 entries")
-        if any(v < 0 for v in self.l) or any(v < 0 for v in self.ratio):
-            raise ValueError("spacings and ratios must be nonnegative")
+        l = np.asarray(self.l, dtype=float)
+        if (l < 0.0).any():
+            raise ValueError("spacings must be nonnegative")
+        # C(n, k) * 2**-n is exact (2**-1000 is a normal float).  As Python's
+        # float division does, pmf / inf gives 0.0 and pmf / 0.0 gives inf,
+        # and neither that nor an overflow warns.
+        with np.errstate(divide="ignore", over="ignore"):
+            ratio = _float_counts(self.n) * 0.5 ** self.n / l
+        object.__setattr__(self, "ratio", tuple(ratio.tolist()))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -95,23 +104,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _binom_pmfs(n: int) -> np.ndarray:
-    # int / int is correctly rounded, so each entry is binom_pmf(k, n).
-    scale = 1 << n
-    return _read_only(np.array([c / scale for c in binom_counts(n)]))
-
-
-@lru_cache(maxsize=None)
 def _float_counts(n: int) -> np.ndarray:
     # float(C) is the conversion Python's int * float makes.
     return _read_only(np.array([float(c) for c in binom_counts(n)]))
-
-
-def _ratios_from_l(n: int, l) -> tuple[float, ...]:
-    # pmf / inf is 0.0 and pmf / 0.0 is inf, as the scalar rule r(k) = pmf / l(k)
-    # gives; like Python's float division, neither that nor an overflow warns.
-    with np.errstate(divide="ignore", over="ignore"):
-        return tuple((_binom_pmfs(n) / np.asarray(l, dtype=float)).tolist())
 
 
 def lk_uniform(n: int) -> LkProfile:
@@ -122,7 +117,7 @@ def lk_uniform(n: int) -> LkProfile:
     """
     counts = binom_counts(n)  # checks 1 <= n <= MAX_BINOM_N before anything of size n is built
     l = (2.0 / (n + 1),) * (n + 1)
-    return LkProfile(n, l, _ratios_from_l(n, l), counts)
+    return LkProfile(n, l, exact_ratio=counts)
 
 
 def lk_exponential(n: int) -> LkProfile:
@@ -135,7 +130,7 @@ def lk_exponential(n: int) -> LkProfile:
     binom_counts(n)  # checks 1 <= n <= MAX_BINOM_N before anything of size n is built
     l = tuple(1.0 / (n - k) for k in range(n)) + (math.inf,)
     exact = binom_counts(n - 1) + (0,) if n > 1 else (1, 0)
-    return LkProfile(n, l, _ratios_from_l(n, l), exact)
+    return LkProfile(n, l, exact_ratio=exact)
 
 
 FIXED_PROFILES = {"uniform": lk_uniform, "exponential": lk_exponential}
@@ -160,7 +155,7 @@ def lk_mom(sample: SortedSample) -> LkProfile:
             )
         gaps.append(gap)
     l = (math.inf,) + tuple(gaps) + (math.inf,)
-    return LkProfile(n, l, _ratios_from_l(n, l))
+    return LkProfile(n, l)
 
 
 # Gaps per block of lk_edf: a full (n - 1) x (n + 1) product would be another
@@ -204,7 +199,7 @@ def lk_edf(sample: SortedSample) -> LkProfile:
             np.multiply(w[i0:i1], gaps[i0:i1, None], out=rows[1:])
             np.add.reduce(rows, axis=0, out=acc)
         l = counts * acc
-    return LkProfile(n, tuple(l.tolist()), _ratios_from_l(n, l))
+    return LkProfile(n, tuple(l.tolist()))
 
 
 # Each table is (n - 1) x (n + 1) doubles, 8 MB at n = 1000, so only the
@@ -267,4 +262,4 @@ def lk_numeric(dist: DistributionSpec, n: int, k: int) -> float:
 def lk_numeric_profile(dist: DistributionSpec, n: int) -> LkProfile:
     """Full numeric profile for ``dist`` at sample size n."""
     l = tuple(lk_numeric(dist, n, k) for k in range(n + 1))
-    return LkProfile(n, l, _ratios_from_l(n, l))
+    return LkProfile(n, l)

@@ -20,7 +20,6 @@ import pytest
 from mediancr.cli import main
 from mediancr.distributions import (
     RngStream,
-    binom_pmf_fraction,
     exponential,
     logistic,
     normal,
@@ -197,7 +196,7 @@ def test_count_region_coverage_exact_and_simulated():
     """n = 10, alpha = .05 coverage is 1002/1024; simulations land within
     0.9785 +- 0.004; enumerated coverage >= 1 - alpha for n <= 60."""
     # Enumerated mass of the admitted counts {2..8} at n = 10.
-    mass = sum(binom_pmf_fraction(k, 10) for k in range(2, 9))
+    mass = sum(Fraction(math.comb(10, k), 2 ** 10) for k in range(2, 9))
     assert mass == Fraction(1002, 1024)
     for alpha in (0.01, 0.05, 0.10):
         target = Fraction(1) - Fraction(alpha)
@@ -229,15 +228,15 @@ def test_count_region_coverage_exact_and_simulated():
 
 
 def random_feasible_set(n, target, gen):
+    # Oracle masses: the exact Binomial(n, 1/2) law from math.comb.
+    pmf = [Fraction(math.comb(n, k), 2 ** n) for k in range(n + 1)]
     ks = set(int(k) for k in np.flatnonzero(gen.random(n + 1) < 0.4))
-    mass = sum(binom_pmf_fraction(k, n) for k in ks)
-    remaining = sorted(
-        set(range(n + 1)) - ks, key=lambda k: -binom_pmf_fraction(k, n)
-    )
+    mass = sum(pmf[k] for k in ks)
+    remaining = sorted(set(range(n + 1)) - ks, key=lambda k: -pmf[k])
     while mass < target and remaining:
         k = remaining.pop(0)
         ks.add(k)
-        mass += binom_pmf_fraction(k, n)
+        mass += pmf[k]
     return ks
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,17 @@ def test_table_uniform_focus(capsys):
     assert out[0] == "focus=uniform n=4"
     assert out[2] == "0\t1\t0.0625000000"
     assert out[4] == "2\t6\t0.3750000000"
+
+
+@pytest.mark.parametrize("focus", ["uniform", "exponential"])
+@pytest.mark.parametrize("n", [1, 10, 500, 1000])
+def test_table_pmf_column_is_the_rounded_exact_pmf(capsys, n, focus):
+    # Oracle: C(n, k) / 2**n from math.comb, rounded once by Fraction.
+    assert main(["table", "--n", str(n), "--focus", focus]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split("\t")[2] for row in rows] == [
+        f"{float(Fraction(math.comb(n, k), 2 ** n)):.10f}" for k in range(n + 1)
+    ]
 
 
 def test_table_infeasible_level(capsys):

@@ -18,7 +18,6 @@ from mediancr.distributions import (
     _split_words,
     binom_cdf,
     binom_counts,
-    binom_pmf_fraction,
     cauchy,
     exponential,
     gamma,
@@ -57,22 +56,22 @@ def pascal_pmf(n):
 def test_binom_pmf_matches_pascal_oracle(n):
     oracle = pascal_pmf(n)
     for k in range(n + 1):
-        assert binom_pmf_fraction(k, n) == oracle[k]
+        assert Fraction(binom_counts(n)[k], 2 ** n) == oracle[k]
 
 
 def test_binom_pmf_known_values():
-    assert binom_pmf_fraction(5, 10) == Fraction(252, 1024)
-    assert binom_pmf_fraction(0, 10) == Fraction(1, 1024)
-    assert binom_pmf_fraction(0, 1) == Fraction(1, 2)
-    assert binom_pmf_fraction(1, 1) == Fraction(1, 2)
+    assert binom_counts(10)[5] == 252
+    assert binom_counts(10)[0] == 1
+    assert binom_counts(1) == (1, 1)
+    assert binom_cdf(5, 10) - binom_cdf(4, 10) == 252 / 1024
+    assert binom_cdf(0, 1) == 0.5
 
 
 def test_binom_pmf_symmetry_and_mass():
     for n in (1, 5, 12, 31, 100):
-        total = sum(binom_pmf_fraction(k, n) for k in range(n + 1))
-        assert total == 1
-        for k in range(n + 1):
-            assert binom_pmf_fraction(k, n) == binom_pmf_fraction(n - k, n)
+        row = binom_counts(n)
+        assert sum(row) == 2 ** n
+        assert row == row[::-1]
 
 
 def test_binom_cdf_known_values():
@@ -97,7 +96,7 @@ def test_binom_cdf_monotone():
 
 def test_binom_large_n_no_overflow():
     # Oracle: mpmath binomial(1000, 500) / 2**1000 = 0.0252250181783608019...
-    assert float(binom_pmf_fraction(500, 1000)) == pytest.approx(0.025225018178, rel=1e-9)
+    assert binom_counts(1000)[500] / 2 ** 1000 == pytest.approx(0.025225018178, rel=1e-9)
     assert binom_cdf(499, 1000) < 0.5 <= binom_cdf(500, 1000)
 
 
@@ -109,24 +108,23 @@ def test_binom_counts_equal_math_comb_for_every_n():
 
 
 def test_binom_domain_errors():
-    for call in (binom_pmf_fraction, binom_cdf):
-        with pytest.raises(ValueError):
-            call(11, 10)
-        with pytest.raises(ValueError):
-            call(-1, 10)
-        with pytest.raises(ValueError):
-            call(0, 0)
+    with pytest.raises(ValueError, match="k must be in 0..10, got 11"):
+        binom_cdf(11, 10)
+    with pytest.raises(ValueError, match="k must be in 0..10, got -1"):
+        binom_cdf(-1, 10)
+    for call in (lambda: binom_cdf(0, 0), lambda: binom_counts(0), lambda: binom_counts(-3)):
+        with pytest.raises(ValueError, match="n must be in 1..1000"):
+            call()
 
 
 def test_binom_size_cap_is_unsupported_size():
     # Above MAX_BINOM_N the tables are a size limit, not bad input.
-    for call in (binom_pmf_fraction, binom_cdf):
-        with pytest.raises(UnsupportedSizeError):
-            call(0, 1001)
+    with pytest.raises(UnsupportedSizeError):
+        binom_cdf(0, 1001)
     with pytest.raises(UnsupportedSizeError):
         binom_counts(1001)
     # Below 1 and non-integers stay plain ValueErrors.
-    for call in (lambda: binom_cdf(0, 0), lambda: binom_cdf(0, 2.5)):
+    for call in (lambda: binom_cdf(0, 0), lambda: binom_cdf(0, 2.5), lambda: binom_counts(2.5)):
         with pytest.raises(ValueError) as info:
             call()
         assert not isinstance(info.value, UnsupportedSizeError)

@@ -185,27 +185,23 @@ def test_spread_beyond_float_range_is_an_unsupported_size(method_id, data, alpha
     # A library error, so simulate counts a failure and cr exits 3; neither a
     # ZeroDivisionError, a misreported level nor a nan endpoint.
     s = make_sample(data)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        boot = bootstrap_medians(s, 200, RngStream(5, ("boot",)))
-        with pytest.raises(UnsupportedSizeError, match="float range"):
-            compute_region(method_id, s, alpha, u=0.5, boot=boot)
+    boot = bootstrap_medians(s, 200, RngStream(5, ("boot",)))
+    with pytest.raises(UnsupportedSizeError, match="float range"):
+        compute_region(method_id, s, alpha, u=0.5, boot=boot)
 
 
 @pytest.mark.parametrize("method_id", ALL_METHOD_IDS)
 def test_no_region_has_a_nan_endpoint_near_the_float_limit(method_id):
     # Each method either gives a region whose endpoints are numbers or raises
-    # the library's size error; methods 2-4, 6-8 and 10-13 give regions.
+    # the library's size error; methods 2-4, 7, 8 and 10-13 give regions.
     s = make_sample(NEAR_FLOAT_LIMIT)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        boot = bootstrap_medians(s, 200, RngStream(5, ("boot",)))
-        try:
-            region = compute_region(method_id, s, ALPHA, u=0.5, boot=boot)
-        except UnsupportedSizeError:
-            assert method_id in (1, 5, 9)
-            return
-    assert method_id not in (1, 5, 9)
+    boot = bootstrap_medians(s, 200, RngStream(5, ("boot",)))
+    try:
+        region = compute_region(method_id, s, ALPHA, u=0.5, boot=boot)
+    except UnsupportedSizeError:
+        assert method_id in (1, 5, 6, 9)
+        return
+    assert method_id not in (1, 5, 6, 9)
     assert region.intervals
     for iv in region.intervals:
         assert iv.lo <= iv.hi and not math.isnan(iv.hi - iv.lo)
@@ -251,6 +247,9 @@ def test_unknown_method_id_message_reads_the_table():
 # medians is about 1e150, so the sum of their squared deviations to the power
 # 1.5 exceeds the largest float.
 WIDE_SPREAD = [1e150 * i * (-1) ** i for i in range(1, 12)]
+# Data whose variance overflows while the values do not: the t interval's sd
+# and the bootstrap standard error are inf.
+WIDER_SPREAD = [1e160 * i * (-1) ** i for i in range(1, 12)]
 # Here only the denominator overflows while the sum of cubes stays finite, so an
 # unchecked ratio reads 0 instead of about 0.0092: at 1e103 the power 1.5
 # overflows, at 6e102 only the factor 6 does.
@@ -265,10 +264,14 @@ SKEWED = [-5.0, -4.0, -3.0, -2.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     (9, WIDE_SPREAD),
     (9, SKEWED[:6] + [1e103 * v for v in SKEWED[6:]]),
     (9, SKEWED[:6] + [6e102 * v for v in SKEWED[6:]]),
+    (1, WIDER_SPREAD),
+    (6, NEAR_FLOAT_LIMIT),
+    (6, WIDER_SPREAD),
 ])
 def test_overflowing_estimates_end_in_a_size_error_without_warnings(method_id, data):
-    # The t interval's mean and BCa's jackknife overflow here; numpy's
-    # RuntimeWarning stays inside the library and the region is refused.
+    # The t interval's mean or sd, the bootstrap standard error and BCa's
+    # jackknife overflow here; numpy's RuntimeWarning stays inside the library
+    # and the region is refused.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = make_sample(data)

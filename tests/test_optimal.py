@@ -347,7 +347,10 @@ def test_groups_and_selection_match_reference_on_ratio_chains(steps, perm, alpha
         r *= f if math.isfinite(f) and f else 1.0
         ratio.append(f if f in (0.0, math.inf) else r)
     perm.shuffle(ratio)
-    prof = LkProfile(len(ratio) - 1, (1.0,) * len(ratio), tuple(ratio))
+    # Spacings l = pmf / r give back the chain's ratios to within rounding.
+    n = len(ratio) - 1
+    l = tuple(math.comb(n, k) / 2 ** n / r if r else math.inf for k, r in enumerate(ratio))
+    prof = LkProfile(n, l)
     assert library_groups(prof) == reference_groups(prof)
     assert selection_fields(prof, alpha) == reference_selection(prof, alpha)
 

@@ -30,7 +30,6 @@ from mediancr.errors import DegenerateDataError, UnsupportedSizeError
 from mediancr.regions import make_sample
 from mediancr.spacings import (
     LkProfile,
-    _binom_pmfs,
     _edf_weights,
     lk_edf,
     lk_exponential,
@@ -72,8 +71,37 @@ def test_exact_ratios_are_binomial_coefficients(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 57, 200, 999, 1000])
 def test_binomial_pmf_table_equals_binom_pmf(n):
-    # Oracle: C(n, k) / 2**n from math.comb, rounded once by Fraction.
-    assert _binom_pmfs(n).tolist() == [float(Fraction(math.comb(n, k), 2 ** n)) for k in range(n + 1)]
+    # Oracle: C(n, k) / 2**n from math.comb, rounded once by Fraction; unit
+    # spacings make each ratio the pmf itself.
+    ratio = LkProfile(n, (1.0,) * (n + 1)).ratio
+    assert ratio == tuple(float(Fraction(math.comb(n, k), 2 ** n)) for k in range(n + 1))
+
+
+def ratio_oracle(n, l):
+    """r(k) = C(n, k) / 2**n / l(k), the pmf rounded once by Fraction."""
+    out = []
+    for k, v in enumerate(l):
+        pmf = float(Fraction(math.comb(n, k), 2 ** n))
+        out.append(0.0 if v == math.inf else math.inf if v == 0.0 else pmf / v)
+    return tuple(out)
+
+
+SPACING_VALUES = st.one_of(
+    st.sampled_from([0.0, math.inf, 5e-324, 1e-310, 1e308, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, allow_nan=False, allow_subnormal=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 1000), values=st.lists(SPACING_VALUES, min_size=1, max_size=20),
+       rnd=st.randoms(use_true_random=False))
+def test_profile_ratio_is_pmf_over_spacing(n, values, rnd):
+    # Zero, infinite, subnormal, huge and ordinary spacings, mixed.
+    l = [rnd.choice(values) for _ in range(n + 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratio = LkProfile(n, tuple(l)).ratio
+    assert repr(ratio) == repr(ratio_oracle(n, l))
 
 
 @pytest.mark.parametrize("profile", [lk_uniform, lk_exponential])
@@ -97,10 +125,23 @@ def test_profile_ratio_floats_follow_exact():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        LkProfile(n=2, l=(1.0, 1.0), ratio=(1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        LkProfile(n=2, l=(1.0, -1.0, 1.0), ratio=(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="n \\+ 1 entries"):
+        LkProfile(n=2, l=(1.0, 1.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        LkProfile(n=2, l=(1.0, -1.0, 1.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        LkProfile(n=2, l=(1.0, 1.0, -math.inf))
+    with pytest.raises(ValueError, match="exact_ratio"):
+        LkProfile(n=2, l=(1.0, 1.0, 1.0), exact_ratio=(1, 2))
+
+
+def test_profile_ratio_is_derived_not_passed():
+    # A third positional argument would once have been read as the ratios.
+    with pytest.raises(TypeError):
+        LkProfile(2, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+    with pytest.raises(TypeError):
+        LkProfile(n=2, l=(1.0, 1.0, 1.0), ratio=(1.0, 1.0, 1.0))
+    assert LkProfile(2, (1.0, 1.0, 1.0), exact_ratio=(1, 2, 1)).is_exact
 
 
 # ---------------------------------------------------------------------------
