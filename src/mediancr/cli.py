@@ -119,6 +119,8 @@ def _cmd_cr(args) -> int:
     if args.jitter is not None:
         if args.jitter <= 0:
             raise ValueError("--jitter must be positive")
+        if not math.isfinite(args.jitter):
+            raise ValueError(f"--jitter must be finite, got {args.jitter}")
         values, did = _jitter_ties(values, args.jitter, RngStream(seed, ("jitter",)))
         if did:
             flags_global.append("jittered")

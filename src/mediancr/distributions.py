@@ -457,8 +457,11 @@ class DistributionSpec:
 
     @property
     def label(self) -> str:
-        """Compact identifier, comma-free so it can sit in a CSV field."""
-        inner = ";".join(f"{p:g}" for p in self.params)
+        """Compact identifier, distinct per spec and comma-free so it can sit in a CSV field.
+
+        A parameter prints as ``{:g}`` where that text parses back to it, else as its ``repr``.
+        """
+        inner = ";".join(g if float(g := f"{p:g}") == p else repr(p) for p in self.params)
         return f"{self.family}({inner})"
 
     def _call(self, fn, x):

@@ -23,13 +23,9 @@ builder with it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
-
-import numpy as np
 
 from .distributions import binom_counts
 from .errors import InfeasibleLevelError, UnsupportedSizeError
@@ -69,46 +65,28 @@ class Gamma0Selection:
     p_tie: float
 
 
-def _ratio_groups(profile: LkProfile) -> tuple[list[float], list[int], list[int]]:
-    """Equal-ratio groups with positive ratio, ordered by decreasing ratio.
+def _ratio_groups(profile: LkProfile) -> list[tuple[float, list[int]]]:
+    """Equal-ratio groups with positive ratio, as [(ratio, counts)].
 
-    Returns (ratios, ks, ends): ``ks`` lists the counts group after group,
-    group g is ks[ends[g - 1]:ends[g]] (from 0 for g = 0) and ratios[g] is
-    its ratio.
+    Counts come in decreasing ratio, ties by count.  A closed-form profile
+    groups equal exact ratios; a float profile starts a new group unless the
+    count's ratio is within RATIO_TIE_RTOL of the group's first ratio or both
+    are infinite.  A group's ratio is the float ratio of its first count.
     """
-    if profile.is_exact:
-        by_val: dict[int, list[int]] = {}
-        for k, rv in enumerate(profile.exact_ratio):
-            if rv > 0:
-                by_val.setdefault(rv, []).append(k)
-        groups = [ks for _, ks in sorted(by_val.items(), key=lambda t: -t[0])]
-        return ([float(profile.ratio[ks[0]]) for ks in groups],
-                list(chain.from_iterable(groups)), list(accumulate(map(len, groups))))
-    ratio = np.array(profile.ratio)
-    # Decreasing ratio, ties by count; the zero (and nan) ratios sort last.
-    order = np.argsort(-ratio, kind="stable")[:np.count_nonzero(ratio > 0.0)]
-    desc = ratio[order]
-    ks, rs = order.tolist(), desc.tolist()
-    # Sorted, so head - r >= 0 below; every ratio is finite when the first is.
-    if not rs or (math.isfinite(rs[0]) and not (
-            desc[:-1] - desc[1:] <= RATIO_TIE_RTOL * desc[:-1]).any()):
-        # Each ratio is outside the tolerance of the one before it, so the
-        # loop below would start a new group at every count.
-        return rs, ks, list(range(1, len(ks) + 1))
-    ratios: list[float] = []
-    ends: list[int] = []
-    for i, r in enumerate(rs):
-        if ratios:
-            head = ratios[-1]
-            same = (math.isinf(head) and math.isinf(r)) or (
-                math.isfinite(head) and abs(head - r) <= RATIO_TIE_RTOL * head
-            )
-            if same:
-                ends[-1] = i + 1
-                continue
-        ratios.append(r)
-        ends.append(i + 1)
-    return ratios, ks, ends
+    exact = profile.is_exact
+    key = profile.exact_ratio if exact else profile.ratio
+    groups: list[tuple[float, list[int]]] = []
+    positive = (k for k in range(profile.n + 1) if key[k] > 0)
+    # A stable sort, reversed, keeps equal keys in increasing count order.
+    for k in sorted(positive, key=key.__getitem__, reverse=True):
+        # Sorted, so head - key[k] >= 0.
+        if groups and (key[k] == head or (
+                not exact and math.isfinite(head) and head - key[k] <= RATIO_TIE_RTOL * head)):
+            groups[-1][1].append(k)
+        else:
+            head = key[k]
+            groups.append((profile.ratio[k], [k]))
+    return groups
 
 
 @lru_cache(maxsize=None)
@@ -142,19 +120,19 @@ def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
     counts = binom_counts(n)
     scale = 1 << n
     target, floor_target = _target(n, alpha)
-    ratios, ks, ends = _ratio_groups(profile)
-    running = list(accumulate(map(counts.__getitem__, ks)))
-    # Masses are positive, so the running mass rises and the admitted groups are
-    # those that end where it is still <= target; it is an integer, so exactly
-    # where it is <= floor(target).
-    admitted = bisect_right(ends, bisect_right(running, floor_target))
-    start = ends[admitted - 1] if admitted else 0
-    included = ks[:start]
-    cum = running[start - 1] if start else 0
-    tie_ratio = ratios[admitted] if admitted < len(ends) else 0.0
-    # At a natural confidence coefficient the admitted mass alone is exact and
-    # the tie set is empty.
-    tie_ks = ks[start:ends[admitted]] if admitted < len(ends) and cum < target else []
+    included, cum = [], 0
+    tie_ratio, tie_ks = 0.0, []
+    for ratio, ks in _ratio_groups(profile):
+        mass = sum(map(counts.__getitem__, ks))
+        # cum + mass is an integer, so it exceeds target exactly when it
+        # exceeds floor(target).
+        if cum + mass > floor_target:
+            # At a natural confidence coefficient the admitted mass alone is
+            # exact and the tie set stays empty.
+            tie_ratio, tie_ks = ratio, (ks if cum < target else [])
+            break
+        included += ks
+        cum += mass
     if not tie_ks and cum < target:
         raise InfeasibleLevelError(
             requested=1.0 - alpha,

@@ -408,6 +408,14 @@ def test_cr_jitter_too_small_to_move_a_tie_is_not_flagged_and_named(tmp_path, ca
     assert "consider --jitter" not in err
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_cr_non_finite_jitter_is_a_usage_error(datafile, capsys, eps):
+    assert main(["cr", "--input", datafile, "--methods", "3", "--jitter", eps]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--jitter must be finite, got {eps}" in captured.err
+
+
 def test_cr_jitter_leaves_distinct_data_alone(datafile, capsys):
     assert main(["cr", "--input", datafile, "--methods", "3", "--seed", "1",
                  "--jitter", "1e-6"]) == EXIT_OK

@@ -329,8 +329,9 @@ def _seeded_mixtures(count):
 MIXTURE_PS = [1e-10, 1.0 - 1e-10] + list(np.linspace(0.0, 1.0, 300)[1:-1])
 
 
+# Ids in the short {:g} form: a seeded mixture's label spells out every digit.
 @pytest.mark.parametrize("dist", [study_distributions()["mixture"]] + _seeded_mixtures(30),
-                         ids=lambda d: d.label)
+                         ids=lambda d: f"{d.family}({';'.join(f'{p:g}' for p in d.params)})")
 def test_mixture_quantile_equals_scipy_brentq(dist):
     # Oracle: scipy.optimize.brentq on the bracket of the component quantiles.
     w1, m1, s1, m2, s2 = dist.params
@@ -440,6 +441,15 @@ def test_study_labels_are_unchanged():
         "normal(0;1)", "cauchy(0;1)", "uniform(-1;1)", "logistic(0;1)", "gamma(2;1)",
         "weibull(0.5;1)", "normal_mixture(0.6;-5;3;5;2)", "exponential(1)",
     ]
+
+
+def test_distinct_specs_get_distinct_labels_and_streams():
+    a, b = normal(0.0, 1.0), normal(0.0, 1.0000001)
+    assert (a.label, b.label) == ("normal(0;1)", "normal(0;1.0000001)")
+    # The label keys a simulation's streams, so the two specs must draw
+    # different standardized samples, not one sample at two scales.
+    xa, xb = (sample(d, 20, RngStream(5, (d.label, 20, 0)).child("data")) for d in (a, b))
+    assert not np.allclose(xa, xb / 1.0000001)
 
 
 def test_labels_are_csv_safe():

@@ -198,11 +198,6 @@ def reference_groups(profile):
     return groups
 
 
-def library_groups(profile):
-    ratios, ks, ends = _ratio_groups(profile)
-    return [(ratio, ks[lo:hi]) for ratio, lo, hi in zip(ratios, [0] + ends, ends)]
-
-
 def reference_selection(profile, alpha):
     """Oracle: the greedy accounting in Fraction sums of C(n, k) / 2**n.
 
@@ -272,6 +267,15 @@ def test_selection_matches_fraction_reference_on_closed_form_profiles():
     assert all(branches.values()), branches
 
 
+def test_selection_matches_fraction_reference_at_the_largest_size():
+    n = 1000
+    edf = lk_edf(make_sample(sample(normal(), n, RngStream(11, ("largest",)))))
+    natural = float(1 - Fraction(math.comb(n, n // 2), 2 ** n))
+    for prof in (lk_uniform(n), lk_exponential(n), edf):
+        for alpha in (0.05, natural):
+            assert selection_fields(prof, alpha) == reference_selection(prof, alpha), alpha
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=3, max_size=40, unique=True),
@@ -296,9 +300,9 @@ def test_selection_matches_fraction_reference_at_natural_levels(values, data):
 
 
 def test_ratio_groups_match_reference_on_closed_form_profiles():
-    for n in range(1, 81):
+    for n in [*range(1, 81), 200, 511, 1000]:
         for prof in (lk_uniform(n), lk_exponential(n)):
-            assert library_groups(prof) == reference_groups(prof), n
+            assert _ratio_groups(prof) == reference_groups(prof), n
 
 
 def mirrored(half, center, nudge, rel):
@@ -327,7 +331,7 @@ def test_groups_and_selection_match_reference_on_tied_ratios(half, center, nudge
         return
     s = make_sample(values)
     for prof in (lk_mom(s), lk_edf(s)):
-        assert library_groups(prof) == reference_groups(prof)
+        assert _ratio_groups(prof) == reference_groups(prof)
         assert selection_fields(prof, alpha) == reference_selection(prof, alpha)
 
 
@@ -351,19 +355,19 @@ def test_groups_and_selection_match_reference_on_ratio_chains(steps, perm, alpha
     n = len(ratio) - 1
     l = tuple(math.comb(n, k) / 2 ** n / r if r else math.inf for k, r in enumerate(ratio))
     prof = LkProfile(n, l)
-    assert library_groups(prof) == reference_groups(prof)
+    assert _ratio_groups(prof) == reference_groups(prof)
     assert selection_fields(prof, alpha) == reference_selection(prof, alpha)
 
 
-def test_tied_ratios_reach_both_grouping_paths():
+def test_distinct_and_tied_ratios_group_like_the_reference():
     # Distinct spacings give singleton groups; mirrored data give pairs, one
     # of them only within the tolerance.
     plain = lk_mom(make_sample([0.0, 1.0, 4.0, 11.0, 13.0]))
-    assert all(len(ks) == 1 for _, ks in library_groups(plain))
+    assert all(len(ks) == 1 for _, ks in _ratio_groups(plain))
     for rel in (0.0, 5e-10):
         prof = lk_mom(make_sample(mirrored([1.0, 3.0, 7.0], True, 2, rel)))
-        assert library_groups(prof) == reference_groups(prof)
-        assert any(len(ks) == 2 for _, ks in library_groups(prof))
+        assert _ratio_groups(prof) == reference_groups(prof)
+        assert any(len(ks) == 2 for _, ks in _ratio_groups(prof))
 
 
 # ---------------------------------------------------------------------------
