@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -78,7 +78,7 @@ def cr_t(sample: SortedSample, alpha: float) -> Region:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(sample.as_array()))
+        mean = float(np.mean(sample.array))
     sd = sample.sd
     if sd == 0.0:
         return _closed(mean, mean)
@@ -139,7 +139,7 @@ def cr_wilcoxon(sample: SortedSample, alpha: float) -> Region:
     k2 = top - 1 - k1
     # Halving first cannot overflow, and gives the same floats as (x_i + x_j) / 2
     # for all data but subnormals.
-    half = sample.as_array() * 0.5
+    half = sample.array * 0.5
     i, j = _triu_pair(n)
     walsh = half[i] + half[j]
     # Only the two window ends are needed, not the whole sorted Walsh sample.
@@ -190,7 +190,7 @@ def kde_at_median(sample: SortedSample) -> float:
         raise DegenerateDataError("zero bandwidth: sample has no usable spread")
     # Past the float range z or f_hat is inf or nan, which the check below refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        z = (sample.median - sample.as_array()) / h
+        z = (sample.median - sample.array) / h
         f_hat = float(np.mean(np.exp(-0.5 * z * z)) / (h * math.sqrt(2.0 * math.pi)))
     if not 0.0 < f_hat < math.inf:
         raise UnsupportedSizeError(f"density estimate {f_hat!r} (bandwidth {h!r}): "
@@ -211,34 +211,28 @@ def cr_asymp_median(sample: SortedSample, alpha: float) -> Region:
 class BootstrapDistribution:
     """Sorted bootstrap medians plus the observed sample median.
 
-    ``medians_array`` holds the same values as a read-only float64 array for
-    numpy reductions; it is built from ``medians`` when not given.
+    ``medians`` is a SortedSample: its ``values`` tuple, read-only ``array``
+    and cached ``sd`` serve the quantiles, the CDF and method 6's standard
+    error.
     """
 
-    medians: tuple[float, ...]
+    medians: SortedSample
     observed_median: float
-    medians_array: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.medians_array is None:
-            arr = np.array(self.medians, dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, "medians_array", arr)
 
     @property
     def breps(self) -> int:
-        return len(self.medians)
+        return self.medians.n
 
     def quantile(self, p: float) -> float:
         """Ceiling-index empirical quantile: the ceil(p * B)-th order statistic."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {p}")
         idx = max(math.ceil(p * self.breps), 1)
-        return self.medians[idx - 1]
+        return self.medians.values[idx - 1]
 
     def cdf_at(self, x: float) -> float:
         """Fraction of bootstrap medians at or below x."""
-        return bisect.bisect_right(self.medians, x) / self.breps
+        return bisect.bisect_right(self.medians.values, x) / self.breps
 
 
 def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> BootstrapDistribution:
@@ -254,7 +248,7 @@ def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> Boots
     if breps < 1:
         raise ValueError(f"breps must be >= 1, got {breps}")
     n = sample.n
-    arr = sample.as_array()
+    arr = sample.array
     words = rng.bounded_words(n, breps * n).reshape(breps, n)
     words.sort(axis=1)
     mid = n // 2
@@ -266,7 +260,7 @@ def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> Boots
     med = 0.0 + column(mid) if n % 2 else midpoint(0.0 + column(mid - 1), column(mid))
     med = np.sort(med)
     med.flags.writeable = False
-    return BootstrapDistribution(tuple(med.tolist()), sample.median, med)
+    return BootstrapDistribution(SortedSample(tuple(med.tolist()), med), sample.median)
 
 
 def jackknife_acceleration(sample: SortedSample) -> float:
@@ -350,8 +344,7 @@ def cr_bootstrap(
         if boot.breps < 2:
             raise UnsupportedSizeError(f"the bootstrap standard error needs breps >= 2, "
                                        f"got {boot.breps}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            se = float(np.std(boot.medians_array, ddof=1))
+        se = boot.medians.sd
         if se == 0.0:
             return _closed(m, m)
         half = t_quantile(1.0 - alpha / 2.0, sample.n - 1) * se

@@ -448,7 +448,8 @@ class DistributionSpec:
         family = _FAMILIES.get(self.family)
         if family is None:
             raise ValueError(f"unknown family {self.family!r} with params {self.params!r}")
-        params = tuple(map(float, self.params))
+        # + 0.0 turns -0.0 into 0.0, so specs that compare equal get one label.
+        params = tuple(float(p) + 0.0 for p in self.params)
         arity = family.valid.__code__.co_argcount
         if not (len(params) == arity and all(map(math.isfinite, params)) and family.valid(*params)):
             raise ValueError(f"family {self.family!r} needs {arity} finite params in its range, "

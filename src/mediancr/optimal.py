@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .distributions import binom_counts
 from .errors import InfeasibleLevelError, UnsupportedSizeError
@@ -65,8 +66,8 @@ class Gamma0Selection:
     p_tie: float
 
 
-def _ratio_groups(profile: LkProfile) -> list[tuple[float, list[int]]]:
-    """Equal-ratio groups with positive ratio, as [(ratio, counts)].
+def _ratio_groups(profile: LkProfile) -> Iterator[tuple[float, list[int]]]:
+    """Equal-ratio groups with positive ratio, as (ratio, counts), each yielded once complete.
 
     Counts come in decreasing ratio, ties by count.  A closed-form profile
     groups equal exact ratios; a float profile starts a new group unless the
@@ -75,18 +76,21 @@ def _ratio_groups(profile: LkProfile) -> list[tuple[float, list[int]]]:
     """
     exact = profile.is_exact
     key = profile.exact_ratio if exact else profile.ratio
-    groups: list[tuple[float, list[int]]] = []
+    group: tuple[float, list[int]] | None = None
     positive = (k for k in range(profile.n + 1) if key[k] > 0)
     # A stable sort, reversed, keeps equal keys in increasing count order.
     for k in sorted(positive, key=key.__getitem__, reverse=True):
         # Sorted, so head - key[k] >= 0.
-        if groups and (key[k] == head or (
+        if group and (key[k] == head or (
                 not exact and math.isfinite(head) and head - key[k] <= RATIO_TIE_RTOL * head)):
-            groups[-1][1].append(k)
+            group[1].append(k)
         else:
+            if group:
+                yield group
             head = key[k]
-            groups.append((profile.ratio[k], [k]))
-    return groups
+            group = (profile.ratio[k], [k])
+    if group:
+        yield group
 
 
 @lru_cache(maxsize=None)

@@ -47,7 +47,7 @@ def midpoint(a, b):
 
 @dataclass(frozen=True)
 class SortedSample:
-    """An observed sample stored in ascending order.
+    """An observed sample, or a set of bootstrap medians, stored in ascending order.
 
     ``array`` holds the same values as a read-only float64 array for numpy
     work; it is built from ``values`` when not given.
@@ -97,10 +97,6 @@ class SortedSample:
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.std(self.array, ddof=1))
 
-    def as_array(self) -> np.ndarray:
-        """The values as a read-only float64 array."""
-        return self.array
-
 
 def make_sample(data: Iterable[float]) -> SortedSample:
     """Validate and sort raw observations into a SortedSample.
@@ -136,20 +132,12 @@ class Interval:
     def token(self) -> str:
         """``[lo:hi)`` or ``[lo:hi]``; the colon keeps the token one CSV field."""
         close = "]" if self.closed_hi else ")"
-        return f"[{_fmt_endpoint(self.lo)}:{_fmt_endpoint(self.hi)}{close}"
-
-
-def _fmt_endpoint(x: float) -> str:
-    if x == -math.inf:
-        return "-inf"
-    if x == math.inf:
-        return "inf"
-    return repr(float(x))
+        return f"[{float(self.lo)!r}:{float(self.hi)!r}{close}"
 
 
 def json_float(x: float) -> float | str:
     """``x`` itself when finite, else the token "inf" or "-inf": JSON has no infinity."""
-    return x if math.isfinite(x) else _fmt_endpoint(x)
+    return x if math.isfinite(x) else repr(float(x))
 
 
 @dataclass(frozen=True)

@@ -191,7 +191,7 @@ def lk_edf(sample: SortedSample) -> LkProfile:
     # overflows to inf, and a zero weight times an infinite gap gives nan,
     # without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = np.diff(sample.as_array())
+        gaps = np.diff(sample.array)
         for i0 in range(0, n - 1, _EDF_BLOCK):
             i1 = min(i0 + _EDF_BLOCK, n - 1)
             rows = buf[:i1 - i0 + 1]

@@ -81,10 +81,15 @@ def test_sample_sd_is_shared_and_equals_numpy():
     s = make_sample(data)
     assert repr(s.sd) == repr(float(np.std(np.array(sorted(data)), ddof=1)))
     assert s.__dict__["sd"] is s.sd
-    assert not s.as_array().flags.writeable
+    assert not s.array.flags.writeable
     assert s == SortedSample(s.values) and hash(s) == hash(SortedSample(s.values))
     copied = pickle.loads(pickle.dumps(s))
-    assert copied == s and not copied.as_array().flags.writeable
+    assert copied == s and not copied.array.flags.writeable
+    # A bootstrap distribution holds its medians as a SortedSample, guarded the same way.
+    boot = bootstrap_medians(s, 50, RngStream(1, ("boot",)))
+    copied = pickle.loads(pickle.dumps(boot))
+    assert copied == boot and not copied.medians.array.flags.writeable
+    assert copied.medians.array.tobytes() == boot.medians.array.tobytes()
 
 
 def test_t_interval_domain():
@@ -411,7 +416,7 @@ TIED_VALUES = (-3.0, -0.0, 0.0, 1.0, 2.5)
 
 def percentile_kde(s):
     """Oracle: the KDE at the median with the IQR from np.percentile."""
-    arr = s.as_array()
+    arr = s.array
     q75, q25 = np.percentile(arr, [75.0, 25.0])
     with np.errstate(over="ignore"):  # np.std squares past the float range on [-1e-300, 1e300]
         h = 0.9 * min(float(np.std(arr, ddof=1)), (q75 - q25) / 1.34) * s.n ** (-0.2)
@@ -438,7 +443,7 @@ def test_quartiles_equal_numpy_percentile(values):
     # reads only the difference q75 - q25, and a zero difference is degenerate
     # whatever its sign, as the KDE check shows.
     s = make_sample(values)
-    q75, q25 = np.percentile(s.as_array(), [75.0, 25.0])
+    q75, q25 = np.percentile(s.array, [75.0, 25.0])
     assert repr(_quartile(s, 0.75) + 0.0) == repr(float(q75) + 0.0)
     assert repr(_quartile(s, 0.25) + 0.0) == repr(float(q25) + 0.0)
     try:
@@ -513,7 +518,7 @@ def test_bootstrap_medians_deterministic_and_sorted():
     b2 = bootstrap_medians(s, 200, RngStream(3, ("boot",)))
     assert b1 == b2
     assert b1.breps == 200
-    assert list(b1.medians) == sorted(b1.medians)
+    assert list(b1.medians.values) == sorted(b1.medians.values)
     assert b1.observed_median == s.median
     b3 = bootstrap_medians(s, 200, RngStream(3, ("boot2",)))
     assert b3 != b1
@@ -538,11 +543,11 @@ def test_bootstrap_medians_equal_numpy_median(s, breps, seed):
     # Oracle: np.median of the gathered resamples on the same default (int64) draw.
     rng = RngStream(seed, ("boot",))
     idx = rng.generator().integers(0, s.n, size=(breps, s.n))
-    expected = np.sort(np.median(s.as_array()[idx], axis=1)).tolist()
+    expected = np.sort(np.median(s.array[idx], axis=1)).tolist()
     boot = bootstrap_medians(s, breps, rng)
-    assert [repr(v) for v in boot.medians] == [repr(v) for v in expected]
-    assert [repr(v) for v in boot.medians_array.tolist()] == [repr(v) for v in expected]
-    assert boot.medians_array.dtype == np.float64 and not boot.medians_array.flags.writeable
+    assert [repr(v) for v in boot.medians.values] == [repr(v) for v in expected]
+    assert [repr(v) for v in boot.medians.array.tolist()] == [repr(v) for v in expected]
+    assert boot.medians.array.dtype == np.float64 and not boot.medians.array.flags.writeable
 
 
 def test_bootstrap_medians_near_the_float_limit_are_finite_and_silent():
@@ -551,7 +556,7 @@ def test_bootstrap_medians_near_the_float_limit_are_finite_and_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         boot = bootstrap_medians(s, 500, RngStream(4, ("boot",)))
-    assert s.values[0] <= min(boot.medians) and max(boot.medians) <= s.values[-1]
+    assert s.values[0] <= min(boot.medians.values) and max(boot.medians.values) <= s.values[-1]
     assert math.isfinite(boot.observed_median)
 
 
@@ -573,7 +578,7 @@ def test_int32_resample_indices_equal_int64(n, breps):
 def median_oracle(s: SortedSample, breps: int, rng: RngStream) -> np.ndarray:
     # np.median of the gathered resamples on numpy's own int32 draw.
     idx = rng.generator().integers(0, s.n, size=(breps, s.n), dtype=np.int32)
-    return np.sort(np.median(s.as_array()[idx], axis=1))
+    return np.sort(np.median(s.array[idx], axis=1))
 
 
 @pytest.mark.parametrize("n, breps", [(10, 500), (20, 2000), (50, 2000), (1000, 2000)])
@@ -582,7 +587,7 @@ def test_bootstrap_medians_equal_numpy_median_at_benchmark_sizes(n, breps):
         s = make_sample(sample(normal(), n, RngStream(seed, ("bench", n))))
         rng = RngStream(seed, ("boot",))
         boot = bootstrap_medians(s, breps, rng)
-        assert boot.medians_array.tobytes() == median_oracle(s, breps, rng).tobytes(), seed
+        assert boot.medians.array.tobytes() == median_oracle(s, breps, rng).tobytes(), seed
 
 
 def rejects_a_word(rng: RngStream, n: int, count: int) -> bool:
@@ -608,12 +613,12 @@ def test_bootstrap_medians_peak_memory_is_two_resample_matrices(seed):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * breps * n * 4 + 2**20
-    assert boot.medians_array.tobytes() == median_oracle(s, breps, rng).tobytes()
+    assert boot.medians.array.tobytes() == median_oracle(s, breps, rng).tobytes()
 
 
 def loop_acceleration(s: SortedSample) -> float:
     # Oracle: one np.median per deleted point, then the same moment arithmetic.
-    arr = s.as_array()
+    arr = s.array
     loo = np.array([np.median(np.delete(arr, i)) for i in range(s.n)])
     d = loo.mean() - loo
     denom = float(np.sum(d * d)) ** 1.5
@@ -629,7 +634,7 @@ def test_jackknife_acceleration_equals_leave_one_out_loop(s):
 
 
 def test_bootstrap_quantile_ceiling_convention():
-    boot = BootstrapDistribution((10.0, 20.0, 30.0, 40.0), 25.0)
+    boot = BootstrapDistribution(SortedSample((10.0, 20.0, 30.0, 40.0)), 25.0)
     assert boot.quantile(0.0) == 10.0
     assert boot.quantile(0.25) == 10.0
     assert boot.quantile(0.26) == 20.0
@@ -640,13 +645,13 @@ def test_bootstrap_quantile_ceiling_convention():
 
 
 def test_bootstrap_cdf_at_counts_ties():
-    boot = BootstrapDistribution((1.0, 2.0, 2.0, 3.0), 2.0)
+    boot = BootstrapDistribution(SortedSample((1.0, 2.0, 2.0, 3.0)), 2.0)
     assert boot.cdf_at(2.0) == 0.75
     assert boot.cdf_at(0.5) == 0.0
     assert boot.cdf_at(3.0) == 1.0
 
 
-SYN = BootstrapDistribution(tuple(float(v) for v in range(1, 101)), 50.5)
+SYN = BootstrapDistribution(SortedSample(tuple(float(v) for v in range(1, 101))), 50.5)
 
 
 def test_basic_interval_reflects_percentile():
@@ -668,7 +673,7 @@ def test_se_interval_uses_t_scale():
     s = make_sample([1.0, 2.0, 3.0, 4.0, 5.0])
     r = cr_bootstrap(s, 0.05, SYN, "se")
     [iv] = r.intervals
-    se = np.std(np.array(SYN.medians), ddof=1)
+    se = np.std(np.array(SYN.medians.values), ddof=1)
     half = t_quantile(0.975, 4) * se
     assert iv.lo == pytest.approx(50.5 - half, rel=1e-14)
     assert iv.hi == pytest.approx(50.5 + half, rel=1e-14)
@@ -685,7 +690,7 @@ def test_se_interval_needs_two_resamples():
 
 
 def test_se_interval_constant_medians_collapses():
-    boot = BootstrapDistribution((2.0,) * 50, 2.0)
+    boot = BootstrapDistribution(SortedSample((2.0,) * 50), 2.0)
     r = cr_bootstrap(make_sample([1.0, 2.0, 3.0]), 0.05, boot, "se")
     assert r.intervals == (Interval(2.0, 2.0, closed_hi=True),)
 
@@ -741,7 +746,7 @@ def test_jackknife_acceleration_flat_medians():
 
 
 def test_bc_clamps_saturated_bias_with_warning():
-    boot = BootstrapDistribution(tuple(float(v) for v in range(1, 51)), 99.0)
+    boot = BootstrapDistribution(SortedSample(tuple(float(v) for v in range(1, 51))), 99.0)
     s = make_sample([1.0, 2.0, 3.0])
     with pytest.warns(ClampedProbabilityWarning):
         r = cr_bootstrap(s, 0.05, boot, "bc")

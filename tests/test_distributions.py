@@ -452,6 +452,17 @@ def test_distinct_specs_get_distinct_labels_and_streams():
     assert not np.allclose(xa, xb / 1.0000001)
 
 
+@pytest.mark.parametrize("make, args", [(normal, (0.0, 1.0)), (uniform, (-1.0, 0.0)),
+                                        (normal_mixture, (0.5, 0.0, 1.0, 3.0, 2.0))])
+def test_equal_specs_get_equal_labels(make, args):
+    # -0.0 == 0.0, so a signed zero must not give one spec two labels, hence two streams.
+    signed = tuple(-p if p == 0.0 else p for p in args)
+    a, b = make(*args), make(*signed)
+    assert a == b and hash(a) == hash(b)
+    assert a.label == b.label and "-0" not in b.label
+    assert all(math.copysign(1.0, p) == 1.0 for p in b.params if p == 0.0)
+
+
 def test_labels_are_csv_safe():
     for dist in ALL_SPECS:
         assert "," not in dist.label
@@ -532,8 +543,8 @@ def test_shared_generator_draws_what_fresh_generators_draw():
             boot_rng = rng.child("boot")
             boot = bootstrap_medians(data, n, boot_rng)
             idx = boot_rng.generator().integers(0, data.n, size=(n, data.n), dtype=np.int32)
-            expected = np.sort(np.median(data.as_array()[np.sort(idx, axis=1)], axis=1))
-            assert boot.medians_array.tobytes() == expected.tobytes()
+            expected = np.sort(np.median(data.array[np.sort(idx, axis=1)], axis=1))
+            assert boot.medians.array.tobytes() == expected.tobytes()
 
 
 BOUNDS = [1, 2, 3, 7, 64, 1000, 100_003, 2**31 - 1, 1431655766, 2**30 + 1]

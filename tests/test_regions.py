@@ -248,6 +248,6 @@ def test_membership_duality_property(data, ks, point):
 
 def test_region_array_view():
     s = make_sample([2.0, 1.0])
-    arr = s.as_array()
+    arr = s.array
     assert isinstance(arr, np.ndarray)
     np.testing.assert_array_equal(arr, [1.0, 2.0])
