@@ -310,6 +310,17 @@ def _clamped_p0(boot: BootstrapDistribution) -> float:
     return p0
 
 
+def _reflect(m: float, q: float) -> float:
+    """2m - q, finite wherever the result itself is in the float range.
+
+    Where 2.0 * m - q is not finite, 2.0 * (m - 0.5 * q) is the float the
+    same formula gives in an unbounded exponent range (halving and doubling
+    are exact), so only a result beyond the float range stays infinite.
+    """
+    r = 2.0 * m - q
+    return r if math.isfinite(r) else 2.0 * (m - 0.5 * q)
+
+
 def cr_bootstrap(
     sample: SortedSample,
     alpha: float,
@@ -335,9 +346,8 @@ def cr_bootstrap(
         raise ValueError(f"variant must be one of {BOOTSTRAP_VARIANTS}, got {variant!r}")
     m = boot.observed_median
     if variant == "basic":
-        lo = 2.0 * m - boot.quantile(1.0 - alpha / 2.0)
-        hi = 2.0 * m - boot.quantile(alpha / 2.0)
-        return _closed(lo, hi)
+        return _closed(_reflect(m, boot.quantile(1.0 - alpha / 2.0)),
+                       _reflect(m, boot.quantile(alpha / 2.0)))
     if variant == "se":
         if sample.n < 2:
             raise ValueError(f"need n >= 2, got {sample.n}")

@@ -9,7 +9,9 @@ Three subcommands:
 Exit codes: 0 success, 1 standard output closed by its reader, 2 bad
 arguments, 3 unreadable or unusable data, 4 requested level infeasible for a
 selected method.  A subcommand raises ValueError for a bad argument, and
-``main`` is the one place that turns it into exit 2.
+``main`` is the one place that turns it into exit 2.  ``run`` is the
+command's process entry point (``python -m mediancr.cli`` and the
+``mediancr`` script); library callers and tests call ``main``.
 
 Output is a pure function of the arguments, the input file bytes, and the
 seed (``--seed``, else the MEDIANCR_SEED environment variable, else 0).
@@ -18,6 +20,7 @@ seed (``--seed``, else the MEDIANCR_SEED environment variable, else 0).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -310,5 +313,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PIPE
 
 
+def run() -> int:
+    """``main`` for a process that exits next.
+
+    Freezing moves every live object out of the collector's reach, so the
+    interpreter's shutdown does not walk the tens of thousands of objects
+    that importing numpy and scipy made; the OS reclaims them with the
+    process.  Exit handlers and the flush of the standard streams still run.
+    ``main`` never freezes: its callers keep running.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(run())

@@ -642,13 +642,14 @@ class RngStream:
         factor = np.uint32(n)
         threshold = (1 << 32) % n
 
-        def accepted(k: int) -> np.ndarray:
-            # Every word drawn is filtered, the spare high half of the last
-            # output too, before the caller cuts to ``count``: a rejected word
-            # lets the next one in, as in numpy.
+        def accepted(k: int) -> tuple[np.ndarray, int]:
+            # At least k fresh words with the accepted ones moved to the front,
+            # and how many there are.  Every word drawn is filtered, the spare
+            # high half of the last output too, before the caller cuts to
+            # ``count``: a rejected word lets the next one in, as in numpy.
             words = _split_words(bitgen.random_raw(-(-k // 2)))
             if not threshold:
-                return words
+                return words, len(words)
             # Compacted in place a block at a time, so the scratch stays small.
             end = 0
             for start in range(0, len(words), _WORD_BLOCK):
@@ -658,11 +659,16 @@ class RngStream:
                     block = block[low >= threshold]
                     words[end:end + len(block)] = block
                 end += len(block)
-            return words[:end]
+            return words, end
 
-        words = accepted(count)
-        while len(words) < count:
-            words = np.concatenate((words, accepted(count - len(words))))
+        # The first draw has room for ``count`` words, so each top-up's
+        # accepted words go into its free tail rather than a second buffer.
+        words, end = accepted(count)
+        while end < count:
+            more, got = accepted(count - end)
+            got = min(got, count - end)
+            words[end:end + got] = more[:got]
+            end += got
         return words[:count]
 
 

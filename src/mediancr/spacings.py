@@ -158,8 +158,8 @@ def lk_mom(sample: SortedSample) -> LkProfile:
     return LkProfile(n, l)
 
 
-# Gaps per block of lk_edf: a full (n - 1) x (n + 1) product would be another
-# 8 MB at n = 1000.
+# Rows per block of lk_edf and of its weight table's build: a full
+# (n - 1) x (n + 1) temporary would be another 8 MB at n = 1000.
 _EDF_BLOCK = 64
 
 
@@ -212,12 +212,16 @@ def _edf_weights(n: int) -> np.ndarray:
     does; np.power may use a SIMD pow that differs in the last bit.  p and
     1 - p are correctly rounded like their scalar forms and the two powers
     are multiplied as IEEE doubles, so each weight is the float the scalar
-    formula gives.
+    formula gives.  The table is filled a block of rows at a time, so the
+    build holds one block of scratch beside it, not a second table.
     """
     p = (np.arange(1, n) / n)[:, None]
     k = np.arange(n + 1, dtype=float)
-    w = np.float_power(1.0 - p, k[::-1])
-    w *= np.float_power(p, k)
+    w = np.empty((n - 1, n + 1))
+    for i0 in range(0, n - 1, _EDF_BLOCK):
+        rows, q = w[i0:i0 + _EDF_BLOCK], p[i0:i0 + _EDF_BLOCK]
+        np.float_power(1.0 - q, k[::-1], out=rows)
+        rows *= np.float_power(q, k)
     return _read_only(w)
 
 

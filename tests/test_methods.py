@@ -169,13 +169,12 @@ NEAR_FLOAT_LIMIT = [1.7e308 - i * 1e305 for i in range(10)]
 
 # Data whose spread lies outside the float range: method 4's bandwidth
 # overflows, and the largest gap of method 13's sample exceeds the largest
-# float.  Near the float limit the t interval's mean, the basic bootstrap's
-# 2 * median and BCa's acceleration overflow.
+# float.  Near the float limit the t interval's mean and BCa's acceleration
+# overflow.
 SPREAD_BEYOND_FLOATS = [
     (4, [-1.7e308, -1e308, 0.0, 1e308, 1.7e308, 1.5e308, -1.2e308], 0.05),
     (13, [-1e308, 1e308, 1.5e308, 1.6e308, 1.7e308], 0.3),
     (1, NEAR_FLOAT_LIMIT, 0.05),
-    (5, NEAR_FLOAT_LIMIT, 0.05),
     (9, NEAR_FLOAT_LIMIT, 0.05),
 ]
 
@@ -193,18 +192,33 @@ def test_spread_beyond_float_range_is_an_unsupported_size(method_id, data, alpha
 @pytest.mark.parametrize("method_id", ALL_METHOD_IDS)
 def test_no_region_has_a_nan_endpoint_near_the_float_limit(method_id):
     # Each method either gives a region whose endpoints are numbers or raises
-    # the library's size error; methods 2-4, 7, 8 and 10-13 give regions.
+    # the library's size error; methods 2-5, 7, 8 and 10-13 give regions.
     s = make_sample(NEAR_FLOAT_LIMIT)
     boot = bootstrap_medians(s, 200, RngStream(5, ("boot",)))
     try:
         region = compute_region(method_id, s, ALPHA, u=0.5, boot=boot)
     except UnsupportedSizeError:
-        assert method_id in (1, 5, 6, 9)
+        assert method_id in (1, 6, 9)
         return
-    assert method_id not in (1, 5, 6, 9)
+    assert method_id not in (1, 6, 9)
     assert region.intervals
     for iv in region.intervals:
         assert iv.lo <= iv.hi and not math.isnan(iv.hi - iv.lo)
+
+
+def test_basic_bootstrap_near_the_float_limit_is_the_scaled_interval():
+    # 2 * median overflows on these data, but the reflected interval lies in
+    # the float range.  Scaling by 2**-8 is exact, so the scaled data's
+    # interval, scaled back, is the one an unbounded exponent range gives;
+    # endpoints this large are equal only when their bits are.
+    scale = 2.0 ** 8
+    s = make_sample(NEAR_FLOAT_LIMIT)
+    t = make_sample([v / scale for v in NEAR_FLOAT_LIMIT])
+    rng = RngStream(5, ("boot",))
+    region = compute_region(5, s, ALPHA, boot=bootstrap_medians(s, 200, rng))
+    expected = mapped(compute_region(5, t, ALPHA, boot=bootstrap_medians(t, 200, rng)),
+                      lambda v: scale * v)
+    assert region == expected and region.intervals[0].hi < math.inf
 
 
 def test_dispatch_bootstrap_variants_share_resamples():
