@@ -270,8 +270,8 @@ def jackknife_acceleration(sample: SortedSample) -> float:
     leave-one-out medians from their mean.  Dropping one point of the sorted
     sample shifts its middle by at most one place, so there are at most three
     distinct leave-one-out medians.  A zero denominator (all leave-one-out
-    medians equal) yields 0; one past the float range yields nan, which
-    cr_bootstrap refuses, since the ratio is scale-free and 0 would be wrong.
+    medians equal) yields 0.  The ratio is scale-free: where a step overflows,
+    it is computed again on the medians scaled by a power of two into [-1, 1].
     """
     n = sample.n
     if n < 2:
@@ -286,14 +286,20 @@ def jackknife_acceleration(sample: SortedSample) -> float:
     else:
         loo[:m] = a[m]
         loo[m:] = a[m - 1]
+    ratio = _skewness_ratio(loo)
+    if not math.isfinite(ratio):
+        ratio = _skewness_ratio(np.ldexp(loo, -math.frexp(np.abs(loo).max())[1]))
+    return ratio
+
+
+def _skewness_ratio(loo: np.ndarray) -> float:
+    """The acceleration from leave-one-out medians ``loo``; inf or nan where a step overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         d = loo.mean() - loo
         denom = 6.0 * np.sum(d * d) ** 1.5
         if denom == 0.0:
             return 0.0
-        if not np.isfinite(denom):
-            return math.nan
-        return float(np.sum(d ** 3) / denom)
+        return float(np.sum(d ** 3) / denom) if np.isfinite(denom) else math.inf
 
 
 def _clamped_p0(boot: BootstrapDistribution) -> float:

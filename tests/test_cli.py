@@ -450,7 +450,7 @@ NEAR_FLOAT_LIMIT = " ".join(repr(1.7e308 - i * 1e305) for i in range(10))
 @pytest.mark.parametrize("method, data, alpha", [
     (4, "-1.7e308 -1e308 0 1e308 1.7e308 1.5e308 -1.2e308", "0.05"),
     (13, "-1e308 1e308 1.5e308 1.6e308 1.7e308", "0.3"),
-    *(pytest.param(m, NEAR_FLOAT_LIMIT, "0.05", id=f"{m}-near-float-limit") for m in (1, 9)),
+    pytest.param(1, NEAR_FLOAT_LIMIT, "0.05", id="1-near-float-limit"),
 ])
 def test_cr_spread_beyond_float_range_exits_without_jitter_hint(tmp_path, capsys, method,
                                                                 data, alpha):
@@ -464,6 +464,17 @@ def test_cr_spread_beyond_float_range_exits_without_jitter_hint(tmp_path, capsys
     assert f"error: method {method} " in err
     assert "float range" in err
     assert "jitter" not in err
+
+
+def test_cr_bca_near_the_float_limit_prints_a_finite_interval(tmp_path, capsys):
+    # BCa's jackknife overflows on these data; its scale-free acceleration is
+    # computed on scaled medians instead, so the interval is not refused.
+    p = tmp_path / "near.txt"
+    p.write_text(NEAR_FLOAT_LIMIT)
+    assert main(["cr", "--input", str(p), "--methods", "9"]) == EXIT_OK
+    [res] = json.loads(capsys.readouterr().out)["results"]
+    [iv] = res["intervals"]
+    assert 1.69e308 <= iv["lo"] <= iv["hi"] <= 1.7e308
 
 
 def test_cr_jitter_resolves_ties(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
@@ -13,7 +14,6 @@ from mediancr.distributions import (
     DistributionSpec,
     RngStream,
     _binom_row,
-    _brentq,
     _signed_rank_prefix,
     _split_words,
     binom_cdf,
@@ -329,26 +329,41 @@ def _seeded_mixtures(count):
 MIXTURE_PS = [1e-10, 1.0 - 1e-10] + list(np.linspace(0.0, 1.0, 300)[1:-1])
 
 
+MIXTURES = [study_distributions()["mixture"]] + _seeded_mixtures(30)
+
+
 # Ids in the short {:g} form: a seeded mixture's label spells out every digit.
-@pytest.mark.parametrize("dist", [study_distributions()["mixture"]] + _seeded_mixtures(30),
+@pytest.mark.parametrize("dist", MIXTURES,
                          ids=lambda d: f"{d.family}({';'.join(f'{p:g}' for p in d.params)})")
-def test_mixture_quantile_equals_scipy_brentq(dist):
-    # Oracle: scipy.optimize.brentq on the bracket of the component quantiles.
-    w1, m1, s1, m2, s2 = dist.params
+def test_mixture_quantile_is_where_the_cdf_crosses_p(dist):
+    # With F the library's own cdf: F(q) = p, or F(q) > p > F(the float below q).
     for p in MIXTURE_PS:
-        z = special.ndtri(p)
-        lo, hi = sorted((m1 + s1 * z, m2 + s2 * z))
-        expected = optimize.brentq(lambda x: dist.cdf(x) - p, lo, hi,
-                                   xtol=1e-13, rtol=8.9e-16, maxiter=200)
-        assert repr(dist.quantile(p)) == repr(float(expected)), p
+        q = dist.quantile(p)
+        f = dist.cdf(q)
+        assert f == p or f > p > dist.cdf(math.nextafter(q, -math.inf)), p
 
 
-def test_mixture_median_value_and_brentq_bracket_check():
+def test_mixture_quantile_against_mpmath():
+    # Oracle: the root of the mixture cdf at 30 digits.  The error allowed is an
+    # ulp of the root plus what 4 * 2**-53 of cdf error moves the root by.
+    for dist in MIXTURES + [normal_mixture(0.5, -5.0, 3.0, 5.0, 3.0)]:
+        w1, m1, s1, m2, s2 = (mpmath.mpf(v) for v in dist.params)
+        for p in (1e-10, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0 - 1e-10):
+            q = dist.quantile(p)
+            with mpmath.workdps(30):
+                root = mpmath.findroot(
+                    lambda x: w1 * mpmath.ncdf(x, m1, s1) + (1 - w1) * mpmath.ncdf(x, m2, s2) - p,
+                    q)
+                density = w1 * mpmath.npdf(root, m1, s1) + (1 - w1) * mpmath.npdf(root, m2, s2)
+                error = float(abs(q - root))
+            assert error <= math.ulp(float(root)) + 4.0 * 2.0 ** -53 / float(density), (dist.label, p)
+
+
+def test_mixture_median_values():
+    # Each is an exact hit of the computed cdf; the first is the correctly
+    # rounded root, -2.0992788745423550748...
     assert repr(study_distributions()["mixture"].true_median()) == "-2.099278874542355"
-    with pytest.raises(ValueError):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    with pytest.raises(RuntimeError):
-        _brentq(lambda x: x - 0.3, 0.0, 1.0, xtol=1e-13, rtol=8.9e-16, maxiter=1)
+    assert normal_mixture(0.5, -5.0, 3.0, 5.0, 3.0).quantile(0.5) == 0.0
 
 
 def test_gamma_median_against_bisection_oracle():

@@ -353,16 +353,22 @@ def fresh_process_lines(code):
 
 
 def test_import_loads_no_optimize_or_integrate():
-    # Only lk_numeric needs scipy.integrate; nothing needs scipy.optimize.
+    # Only lk_numeric needs scipy.integrate, which imports scipy.optimize itself;
+    # nothing else needs scipy.optimize, not even the normal mixture's quantile.
     out = fresh_process_lines(
         "import sys, mediancr, mediancr.cli\n"
         "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n"
-        "from mediancr.distributions import exponential\n"
+        "from mediancr.distributions import exponential, study_distributions\n"
+        "mixture = study_distributions()['mixture']\n"
+        "print(repr(mixture.true_median()), 'scipy.optimize' in sys.modules)\n"
         "from mediancr.spacings import lk_numeric\n"
-        "print(repr(lk_numeric(exponential(1.0), 10, 3)), 'scipy.integrate' in sys.modules)\n"
+        "print(repr(lk_numeric(exponential(1.0), 10, 3)), repr(lk_numeric(mixture, 6, 3)),\n"
+        "      'scipy.integrate' in sys.modules)\n"
     )
+    mixture = study_distributions()["mixture"]
     assert out[0] == "[]"
-    assert out[1] == f"{lk_numeric(exponential(1.0), 10, 3)!r} True"
+    assert out[1] == f"{mixture.true_median()!r} False"
+    assert out[2] == f"{lk_numeric(exponential(1.0), 10, 3)!r} {lk_numeric(mixture, 6, 3)!r} True"
 
 
 def test_import_loads_no_process_pool():
