@@ -4,7 +4,8 @@ Nine standard competitors: the t interval (a mean procedure, included as the
 conventional default), the Wilcoxon signed-rank interval on Walsh averages,
 the exact sign (order-statistic) region, the asymptotic median interval with
 a kernel density estimate at the median, and five bootstrap intervals (basic,
-bootstrap-SE with a t quantile, percentile, bias-corrected, and BCa).
+bootstrap-SE with a t quantile, percentile, bias-corrected as BCa with a = 0,
+and BCa, whose acceleration a is a closed form in the spacings at the median).
 
 Interval procedures return a single closed interval; the order-statistic
 constructions return half-open regions so they compose with the count-based
@@ -59,6 +60,15 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def _upper_p(alpha: float) -> float:
+    """1 - alpha/2, whose normal or t quantile is finite: alpha <= 2^-53 rounds it to 1."""
+    p = 1.0 - alpha / 2.0
+    if p == 1.0:
+        raise InfeasibleLevelError(requested=1.0 - alpha, attainable=1.0 - 2.0 ** -53,
+                                   detail="alpha must exceed 2^-53, or 1 - alpha/2 rounds to 1")
+    return p
+
+
 def _closed(lo: float, hi: float) -> Region:
     """[lo, hi]; an infinite or nan endpoint is an overflowed estimate."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -82,7 +92,7 @@ def cr_t(sample: SortedSample, alpha: float) -> Region:
     sd = sample.sd
     if sd == 0.0:
         return _closed(mean, mean)
-    half = t_quantile(1.0 - alpha / 2.0, n - 1) * sd / math.sqrt(n)
+    half = t_quantile(_upper_p(alpha), n - 1) * sd / math.sqrt(n)
     return _closed(mean - half, mean + half)
 
 
@@ -202,7 +212,7 @@ def cr_asymp_median(sample: SortedSample, alpha: float) -> Region:
     """Large-sample interval: median +- z / (2 sqrt(n) f_hat(median))."""
     _check_alpha(alpha)
     f_hat = kde_at_median(sample)
-    half = norm_quantile(1.0 - alpha / 2.0) / (2.0 * math.sqrt(sample.n) * f_hat)
+    half = norm_quantile(_upper_p(alpha)) / (2.0 * math.sqrt(sample.n) * f_hat)
     m = sample.median
     return _closed(m - half, m + half)
 
@@ -264,42 +274,35 @@ def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> Boots
 
 
 def jackknife_acceleration(sample: SortedSample) -> float:
-    """Acceleration constant from leave-one-out medians.
+    """Acceleration constant sum(d^3) / (6 * (sum(d^2))^(3/2)) from leave-one-out medians.
 
-    a = sum(d^3) / (6 * (sum(d^2))^(3/2)) with d_i the deviations of the
-    leave-one-out medians from their mean.  Dropping one point of the sorted
-    sample shifts its middle by at most one place, so there are at most three
-    distinct leave-one-out medians.  A zero denominator (all leave-one-out
-    medians equal) yields 0.  The ratio is scale-free: where a step overflows,
-    it is computed again on the medians scaled by a power of two into [-1, 1].
+    d_i are the deviations of the leave-one-out medians from their mean.  At
+    even n those medians are two values, m times each, so a = 0.  At odd
+    n = 2m + 1 they are three values, m, 1 and m times, and with l and u the
+    spacings just below and just above the median, scaled by max(l, u),
+
+        a = (u - l) (m (l^2 + 4lu + u^2) + l^2 + lu + u^2)
+            / (6 sqrt(m n) (m (l + u)^2 + l^2 + u^2)^(3/2)),
+
+    with |a| <= 1 / (6 sqrt(m n (m + 1))), reached where l or u is 0.
     """
     n = sample.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    a = sample.values
+    if n % 2 == 0:
+        return 0.0
+    x = sample.values
     m = n // 2
-    loo = np.empty(n)
-    if n % 2:
-        loo[:m] = midpoint(a[m], a[m + 1])
-        loo[m] = midpoint(a[m - 1], a[m + 1])
-        loo[m + 1:] = midpoint(a[m - 1], a[m])
-    else:
-        loo[:m] = a[m]
-        loo[m:] = a[m - 1]
-    ratio = _skewness_ratio(loo)
-    if not math.isfinite(ratio):
-        ratio = _skewness_ratio(np.ldexp(loo, -math.frexp(np.abs(loo).max())[1]))
-    return ratio
-
-
-def _skewness_ratio(loo: np.ndarray) -> float:
-    """The acceleration from leave-one-out medians ``loo``; inf or nan where a step overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = loo.mean() - loo
-        denom = 6.0 * np.sum(d * d) ** 1.5
-        if denom == 0.0:
-            return 0.0
-        return float(np.sum(d ** 3) / denom) if np.isfinite(denom) else math.inf
+    lo, up = x[m] - x[m - 1], x[m + 1] - x[m]
+    if math.isinf(lo) or math.isinf(up):
+        # Halving first keeps them finite; it is not the first try, being inexact on subnormals.
+        lo, up = 0.5 * x[m] - 0.5 * x[m - 1], 0.5 * x[m + 1] - 0.5 * x[m]
+    g = max(lo, up)
+    if g == 0.0:
+        return 0.0
+    lo, up = lo / g, up / g
+    num = (up - lo) * (m * (lo * lo + 4.0 * lo * up + up * up) + lo * lo + lo * up + up * up)
+    return num / (6.0 * math.sqrt(m * n) * (m * (lo + up) ** 2 + lo * lo + up * up) ** 1.5)
 
 
 def _clamped_p0(boot: BootstrapDistribution) -> float:
@@ -363,22 +366,17 @@ def cr_bootstrap(
         se = boot.medians.sd
         if se == 0.0:
             return _closed(m, m)
-        half = t_quantile(1.0 - alpha / 2.0, sample.n - 1) * se
+        half = t_quantile(_upper_p(alpha), sample.n - 1) * se
         return _closed(m - half, m + half)
     if variant == "percentile":
         return _closed(boot.quantile(alpha / 2.0), boot.quantile(1.0 - alpha / 2.0))
 
+    z_hi = norm_quantile(_upper_p(alpha))
     z_lo = norm_quantile(alpha / 2.0)
-    z_hi = norm_quantile(1.0 - alpha / 2.0)
     z0 = norm_quantile(_clamped_p0(boot))
-    if variant == "bc":
-        p_lo = float(norm_cdf(2.0 * z0 + z_lo))
-        p_hi = float(norm_cdf(2.0 * z0 + z_hi))
-    else:  # bca
-        a = jackknife_acceleration(sample)
-        p_lo = float(norm_cdf(z0 + (z0 + z_lo) / (1.0 - a * (z0 + z_lo))))
-        p_hi = float(norm_cdf(z0 + (z0 + z_hi) / (1.0 - a * (z0 + z_hi))))
-    if math.isnan(p_lo) or math.isnan(p_hi):
-        raise UnsupportedSizeError(f"tail probabilities {p_lo!r}, {p_hi!r}: "
-                                   "the data's spread is outside the float range")
+    # BC is BCa with a = 0.  |a| <= 0.0681, |z| <= 8.3 and |z0| < 6.2 for breps < 1e9,
+    # so 1 - a (z0 + z) > 0 and p_lo, p_hi are never nan.
+    a = jackknife_acceleration(sample) if variant == "bca" else 0.0
+    p_lo = float(norm_cdf(z0 + (z0 + z_lo) / (1.0 - a * (z0 + z_lo))))
+    p_hi = float(norm_cdf(z0 + (z0 + z_hi) / (1.0 - a * (z0 + z_hi))))
     return _closed(boot.quantile(p_lo), boot.quantile(p_hi))

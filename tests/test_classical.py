@@ -4,13 +4,15 @@ import itertools
 import math
 import pickle
 import random
+import statistics
 import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mediancr.classical import (
@@ -617,21 +619,96 @@ def test_bootstrap_medians_peak_memory_is_one_resample_matrix(seed):
     assert boot.medians.array.tobytes() == median_oracle(s, breps, rng).tobytes()
 
 
-def loop_acceleration(s: SortedSample) -> float:
-    # Oracle: one np.median per deleted point, then the same moment arithmetic.
-    arr = s.array
-    loo = np.array([np.median(np.delete(arr, i)) for i in range(s.n)])
-    d = loo.mean() - loo
-    denom = float(np.sum(d * d)) ** 1.5
-    if denom == 0.0:
-        return 0.0
-    return float(np.sum(d ** 3)) / (6.0 * denom)
+def mpmath_acceleration(values) -> mpmath.mpf:
+    # Oracle: delete each point, take the exact median of the rest, and form
+    # the moments at 50 digits.
+    with mpmath.workdps(50):
+        x = sorted(mpmath.mpf(v) for v in values)
+        loo = [statistics.median(x[:i] + x[i + 1:]) for i in range(len(x))]
+        mean = sum(loo) / len(loo)
+        d = [mean - v for v in loo]
+        s2 = sum(t * t for t in d)
+        return sum(t ** 3 for t in d) / (6 * s2 ** mpmath.mpf(1.5)) if s2 else mpmath.mpf(0)
+
+
+MAX = 1.7976931348623157e308
+ODD_ADVERSARIAL = [
+    [5e-324, 1e-323, 3e-323, 1e-320, 2.2e-308],
+    [-5e-324, 0.0, 5e-324, 1.5e-323, 1e-310, 1e-300, 1.0],
+    [-MAX, -MAX, 0.0, MAX, MAX],
+    [-MAX, -1e308, 1e308, MAX, MAX],
+    [-MAX, -1.6e308, 1.6e308, 1.7e308, MAX],
+    [-MAX, 5e-324, 1e300, 1.7e308, MAX, MAX, MAX],
+    [1.0, 2.0, 2.0, 2.0, 7.0],
+    [0.0, 0.0, 0.0, 5e-324, 1.0, 1.0, 1.0],
+    [-3.0, -0.0, 0.0, 0.0, 1.0, 2.5, 2.5, 2.5, 2.5],
+    [math.ldexp(1.0, e) for e in (-1074, -600, -3, 0, 5, 400, 1023)],
+    [math.ldexp(1.0 + i / 7, 97 * i - 500) * (-1) ** i for i in range(11)],
+]
 
 
 @settings(max_examples=200, deadline=None)
 @given(s=samples())
-def test_jackknife_acceleration_equals_leave_one_out_loop(s):
-    assert repr(jackknife_acceleration(s)) == repr(loop_acceleration(s))
+def test_jackknife_acceleration_against_mpmath(s):
+    assert abs(jackknife_acceleration(s) - mpmath_acceleration(s.values)) <= 1e-16
+
+
+@pytest.mark.parametrize("data", ODD_ADVERSARIAL)
+def test_jackknife_acceleration_against_mpmath_on_extreme_floats(data):
+    # Subnormals, the largest float (its spacings overflow) and ties.
+    assert abs(jackknife_acceleration(make_sample(data)) - mpmath_acceleration(data)) <= 1e-16
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=samples(), breps=st.integers(2, 60), seed=st.integers(0, 2**32),
+       alpha=st.sampled_from([0.01, 0.05, 0.2, 0.5]))
+def test_bca_is_bc_at_even_n(s, breps, seed, alpha):
+    # The leave-one-out medians are two values, n/2 times each: a = 0 exactly,
+    # so BCa is BC on a shared bootstrap.
+    t = make_sample(s.values[:s.n - s.n % 2])
+    assert jackknife_acceleration(t) == 0.0
+    boot = bootstrap_medians(t, breps, RngStream(seed, ("boot",)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClampedProbabilityWarning)
+        assert cr_bootstrap(t, alpha, boot, "bca") == cr_bootstrap(t, alpha, boot, "bc")
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=samples(), spacing=st.sampled_from([None, "lo", "up"]))
+def test_jackknife_acceleration_odd_n_bound(s, spacing):
+    # |a| <= 1 / (6 sqrt(m n (m + 1))), reached (up to rounding) where one
+    # spacing at the median is 0 and the other is not.
+    x = list(s.values[:s.n - 1 + s.n % 2])
+    n, m = len(x), len(x) // 2
+    assume(n >= 3)
+    if spacing == "lo":
+        x[m - 1] = x[m]
+    elif spacing == "up":
+        x[m + 1] = x[m]
+    a = jackknife_acceleration(make_sample(x))
+    bound = 1.0 / (6.0 * math.sqrt(m * n * (m + 1)))
+    assert abs(a) <= bound * (1 + 1e-15)
+    lo, up = x[m] - x[m - 1], x[m + 1] - x[m]
+    if (lo == 0.0) != (up == 0.0):
+        assert a == pytest.approx(math.copysign(bound, up - lo), rel=1e-15)
+
+
+def normal_or_zero(v: float) -> bool:
+    return v == 0.0 or 2.0 ** -1022 <= abs(v) <= MAX
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=samples(), k=st.integers(-1100, 1100))
+def test_jackknife_acceleration_is_power_of_two_scale_free(s, k):
+    # Scaling by 2^k is exact on the data and on both spacings while they stay
+    # normal, so the closed form sees the same ratios: the same bits.
+    x = s.values[:s.n - 1 + s.n % 2]
+    m = len(x) // 2
+    assume(len(x) >= 3 and max(math.frexp(v)[1] for v in x) + k <= 1024)
+    y = [math.ldexp(v, k) for v in x]
+    assume(all(math.ldexp(w, -k) == v for v, w in zip(x, y)))
+    assume(all(normal_or_zero(v) for v in (y[m] - y[m - 1], y[m + 1] - y[m])))
+    assert jackknife_acceleration(make_sample(y)) == jackknife_acceleration(make_sample(x))
 
 
 def test_bootstrap_quantile_ceiling_convention():
@@ -730,14 +807,15 @@ def test_jackknife_acceleration_variants():
 
 
 def test_jackknife_acceleration_is_scale_free_past_the_float_range():
-    # The ratio is scale-free: at 1e100 it matches scale 1, and so it does where
-    # its denominator overflows (1e103, or only the factor 6 at 6e102).
+    # The spacings at the median are 0 and the scale, so a is the bound
+    # 1 / (6 sqrt(5 * 11 * 6)), correctly rounded (mpmath), at every scale:
+    # also where the moment sums of the leave-one-out medians overflow (1e103,
+    # or only the factor 6 at 6e102) or underflow (1e-108 and below).
     skew = [-5.0, -4.0, -3.0, -2.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     a = jackknife_acceleration(make_sample(skew))
-    assert a == pytest.approx(0.0091747, rel=1e-4)
-    for scale in (1e100, 6e102, 1e103):
-        assert jackknife_acceleration(make_sample(skew[:6] + [scale * v for v in skew[6:]])) \
-            == pytest.approx(a, rel=1e-12)
+    assert a == 0.009174698042719672
+    for scale in (1e100, 6e102, 1e103, 1e-105, 1e-108, 1e-110, 1e-150, 1e-300):
+        assert jackknife_acceleration(make_sample(skew[:6] + [scale * v for v in skew[6:]])) == a
 
 
 def test_jackknife_acceleration_flat_medians():

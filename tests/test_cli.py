@@ -467,8 +467,8 @@ def test_cr_spread_beyond_float_range_exits_without_jitter_hint(tmp_path, capsys
 
 
 def test_cr_bca_near_the_float_limit_prints_a_finite_interval(tmp_path, capsys):
-    # BCa's jackknife overflows on these data; its scale-free acceleration is
-    # computed on scaled medians instead, so the interval is not refused.
+    # The acceleration is a closed form in the spacings at the median, so the
+    # interval is not refused where the data's moments overflow.
     p = tmp_path / "near.txt"
     p.write_text(NEAR_FLOAT_LIMIT)
     assert main(["cr", "--input", str(p), "--methods", "9"]) == EXIT_OK
@@ -586,6 +586,26 @@ def test_simulate_counts_binomial_size_cap_as_failures(capsys):
     header, row = capsys.readouterr().out.strip().splitlines()
     fields = dict(zip(header.split(","), row.split(",")))
     assert fields["reps"] == fields["failures"] == "1"
+
+
+@pytest.mark.parametrize("method", [1, 4, 6, 8, 9])
+def test_cr_level_whose_upper_quantile_rounds_to_one_exits_infeasible(tmp_path, capsys, method):
+    p = tmp_path / "x.txt"
+    p.write_text("1 2 3 4 5 6 7 8 9 10")
+    assert main(["cr", "--input", str(p), "--methods", str(method), "--alpha", "1e-17"]) \
+        == EXIT_INFEASIBLE
+    assert "rounds to 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["1e-17", "5e-324"])
+def test_simulate_counts_a_level_whose_quantile_rounds_to_one_as_failures(capsys, alpha):
+    # Method 1 fails every replication; method 3's rows are still written.
+    assert main(["simulate", "--alpha", alpha, "--methods", "1,3", "--reps", "2",
+                 "--sizes", "10", "--dists", "normal", "--seed", "0", "--out", "-"]) == EXIT_OK
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    rows = {r["method"]: r for r in (dict(zip(header.split(","), row.split(","))) for row in rows)}
+    assert sorted(rows) == ["1", "3"]
+    assert rows["1"]["failures"] == "2" and rows["3"]["failures"] == "0"
 
 
 def test_simulate_rejects_unknown_distribution(capsys):

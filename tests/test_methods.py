@@ -19,7 +19,7 @@ from mediancr.classical import (
     jackknife_acceleration,
 )
 from mediancr.cli import _explain_randomized
-from mediancr.distributions import RngStream, normal, sample
+from mediancr.distributions import RngStream, normal, sample, study_distributions
 from mediancr.errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from mediancr.methods import (
     ALL_METHOD_IDS,
@@ -37,7 +37,7 @@ from mediancr.optimal import (
     symmetric_selection,
 )
 from mediancr.regions import Interval, Region, make_sample
-from mediancr.simulate import SimConfig
+from mediancr.simulate import SimConfig, replicate
 
 ALPHA = 0.05
 
@@ -256,16 +256,14 @@ def test_unknown_method_id_message_reads_the_table():
     assert all(method_info(m) is METHODS[m] for m in ALL_METHOD_IDS)
 
 
-# Data whose BCa acceleration overflows: the spread of the leave-one-out
-# medians is about 1e150, so the sum of their squared deviations to the power
-# 1.5 exceeds the largest float.
+# Data whose leave-one-out medians spread about 1e150, so the 3/2 power of
+# their sum of squared deviations exceeds the largest float.
 WIDE_SPREAD = [1e150 * i * (-1) ** i for i in range(1, 12)]
 # Data whose variance overflows while the values do not: the t interval's sd
 # and the bootstrap standard error are inf.
 WIDER_SPREAD = [1e160 * i * (-1) ** i for i in range(1, 12)]
-# Here only the denominator overflows while the sum of cubes stays finite, so an
-# unchecked ratio reads 0 instead of about 0.0092: at 1e103 the power 1.5
-# overflows, at 6e102 only the factor 6 does.
+# Scaled by 1e103 in its upper half, the moment form's denominator overflows
+# while its sum of cubes stays finite; at 6e102 only its factor 6 does.
 SKEWED = [-5.0, -4.0, -3.0, -2.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
@@ -294,12 +292,13 @@ def test_overflowing_estimates_end_in_a_size_error_without_warnings(method_id, d
     WIDE_SPREAD,
     SKEWED[:6] + [1e103 * v for v in SKEWED[6:]],
     SKEWED[:6] + [6e102 * v for v in SKEWED[6:]],
+    [-1.7976931348623157e308, -1.6e308, 1.6e308, 1.7e308, 1.75e308],
 ])
 def test_bca_past_the_float_range_is_the_scaled_interval(data):
-    # BCa's jackknife overflows on these data, but its acceleration is
-    # scale-free.  Scaled by a power of two into [-1, 1] the data take the
-    # direct path; the acceleration is the same bits and the interval, scaled
-    # back, is the same region.
+    # Near the float limit the acceleration is the same bits as on the data
+    # scaled by a power of two into [-1, 1], also where a spacing at the
+    # median overflows (the last data); the interval, scaled back, is the
+    # same region.
     e = math.frexp(max(map(abs, data)))[1]
     s = make_sample(data)
     t = make_sample([math.ldexp(v, -e) for v in data])
@@ -310,6 +309,28 @@ def test_bca_past_the_float_range_is_the_scaled_interval(data):
                       lambda v: math.ldexp(v, e))
     [iv] = region.intervals
     assert region == expected and math.isfinite(iv.lo) and math.isfinite(iv.hi)
+
+
+def test_bca_is_bc_at_even_n_on_a_grid_replication():
+    # Mixture n = 50, replication 1108 of the grid at seed 2026: the moment
+    # form's float residue in a, which is 0 at even n, once moved method 9's
+    # upper end to 1.959697160724324.
+    dist = study_distributions()["mixture"]
+    regions = replicate(dist, 50, ALPHA, (8, 9), 2000, RngStream(2026, (dist.label, 50, 1108)))
+    assert regions[8] == regions[9] == Region((Interval(-4.665835574545429, 1.9265057807104018,
+                                                        closed_hi=True),))
+
+
+@pytest.mark.parametrize("method_id", [1, 4, 6, 8, 9])
+def test_level_whose_upper_quantile_rounds_to_one_is_infeasible(method_id):
+    # 1 - alpha/2 rounds to 1 at alpha <= 2^-53: no finite normal or t quantile.
+    s = fixture_sample()
+    boot = bootstrap_medians(s, 200, RngStream(6, ("disp", "boot")))
+    for alpha in (2.0 ** -53, 1e-17, 5e-324):
+        with pytest.raises(InfeasibleLevelError, match="rounds to 1"):
+            compute_region(method_id, s, alpha, boot=boot)
+    [iv] = compute_region(method_id, s, math.nextafter(2.0 ** -53, 1.0), boot=boot).intervals
+    assert math.isfinite(iv.lo) and math.isfinite(iv.hi)
 
 
 def test_dispatch_ignores_unneeded_extras():

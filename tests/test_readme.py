@@ -67,3 +67,5 @@ def test_readme_aircondit_example(monkeypatch, capsys):
     assert rows[3]["intervals"] == exact_region(x, uniform, 0.05, None)
     assert rows[10]["intervals"] == exact_region(x, uniform, 0.05, float(rows[10]["u"]))
     assert rows[11]["intervals"] == exact_region(x, exponential, 0.05, float(rows[11]["u"]))
+    # n = 12 is even, so BCa's acceleration is 0 and method 9 is method 8.
+    assert rows[9]["intervals"] == rows[8]["intervals"]
