@@ -10,6 +10,11 @@ and BCa, whose acceleration a is a closed form in the spacings at the median).
 Interval procedures return a single closed interval; the order-statistic
 constructions return half-open regions so they compose with the count-based
 membership rule.
+
+The t, asymptotic and bootstrap intervals are computed by batch forms
+(``*_rows``) over samples held as the rows of a ``SampleRows``: each row's
+ends, not finite or not ordered where the interval is refused.  The scalar
+form is its batch form on one row, plus the refusals as errors.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,31 +74,59 @@ def _upper_p(alpha: float) -> float:
     return p
 
 
-def _closed(lo: float, hi: float) -> Region:
-    """[lo, hi]; an infinite or nan endpoint is an overflowed estimate."""
+@dataclass(frozen=True)
+class SampleRows:
+    """Equal-size samples as the rows of ``x``, with their sorted bootstrap ``medians``.
+
+    ``median`` holds each sample's median, or the observed medians that the
+    caller's bootstrap distributions carry.
+    """
+
+    samples: tuple[SortedSample, ...]
+    medians: np.ndarray | None = None
+    median: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.median is None:
+            object.__setattr__(self, "median", np.array([s.median for s in self.samples]))
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return np.stack([s.array for s in self.samples])
+
+
+def _closed(ends: tuple[np.ndarray, np.ndarray]) -> Region:
+    """[lo, hi] from a batch form's ends on one row; a nan or infinite end is an overflow."""
+    lo, hi = float(ends[0][0]), float(ends[1][0])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise UnsupportedSizeError(f"interval [{lo!r}, {hi!r}]: "
                                    "the data's spread is outside the float range")
-    return Region((Interval(float(lo), float(hi), closed_hi=True),))
+    return Region((Interval(lo, hi, closed_hi=True),))
 
 
 def cr_t(sample: SortedSample, alpha: float) -> Region:
     """Mean +- t quantile times the standard error, as a closed interval.
 
     Zero sample variance collapses the interval to the single point at the
-    common value.  Requires n >= 2.
+    common value, at any level.  Requires n >= 2.
     """
     _check_alpha(alpha)
-    n = sample.n
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    if sample.n < 2:
+        raise ValueError(f"need n >= 2, got {sample.n}")
+    return _closed(cr_t_rows(SampleRows((sample,)), alpha))
+
+
+def cr_t_rows(rows: SampleRows, alpha: float) -> tuple[np.ndarray, ...]:
+    """``cr_t`` on every row: its ends as two arrays."""
+    x = rows.x
+    n = x.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(sample.array))
-    sd = sample.sd
-    if sd == 0.0:
-        return _closed(mean, mean)
-    half = t_quantile(_upper_p(alpha), n - 1) * sd / math.sqrt(n)
-    return _closed(mean - half, mean + half)
+        mean = np.mean(x, axis=1)
+        sd = np.std(x, axis=1, ddof=1)
+        tq = t_quantile(_upper_p(alpha), n - 1) if sd.any() else 0.0
+        half = tq * sd / math.sqrt(n)
+        # A zero sd is the point interval at the mean, -0.0 included.
+        return mean - half, np.where(sd == 0.0, mean, mean + half)
 
 
 @lru_cache(maxsize=None)
@@ -169,19 +202,34 @@ def cr_sign(sample: SortedSample, alpha: float) -> Region:
     return conservative_region(sample, symmetric_selection(sample, alpha))
 
 
-def _quartile(sample: SortedSample, q: float) -> float:
-    """``np.percentile(sample, 100 * q)`` for q in {0.25, 0.75}, read off the sorted values.
+def _quartile(values, q: float):
+    """``np.percentile(values, 100 * q)`` for q in {0.25, 0.75}, read off the sorted values.
 
     The same float operations as numpy's default linear method: the virtual
     index (n - 1) * q is exact, and its ``_lerp`` takes whichever of its two
-    interpolation formulas is exact at the nearer end.
+    interpolation formulas is exact at the nearer end.  Given the transpose
+    of a matrix of sorted rows, it gives each row's quartile.
     """
-    v = (sample.n - 1) * q
+    v = (len(values) - 1) * q
     lo = math.floor(v)
     t = v - lo
-    a, b = sample.values[lo], sample.values[lo + 1]
+    a, b = values[lo], values[lo + 1]
     d = b - a
     return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
+def _kde_rows(rows: SampleRows) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's bandwidth h and its Gaussian kernel density estimate at its median."""
+    x, m = rows.x, rows.median
+    n = x.shape[1]
+    # Past the float range z or the estimate is inf or nan, which the callers refuse.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale = (_quartile(x.T, 0.75) - _quartile(x.T, 0.25)) / 1.34
+        sd = np.std(x, axis=1, ddof=1)
+        # min(sd, scale) as Python takes it: sd unless scale is smaller.
+        h = 0.9 * np.where(scale < sd, scale, sd) * n ** (-0.2)
+        z = (m[:, None] - x) / h[:, None]
+        return h, np.mean(np.exp(-0.5 * z * z), axis=1) / (h * math.sqrt(2.0 * math.pi))
 
 
 def kde_at_median(sample: SortedSample) -> float:
@@ -194,14 +242,9 @@ def kde_at_median(sample: SortedSample) -> float:
     n = sample.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    iqr = _quartile(sample, 0.75) - _quartile(sample, 0.25)
-    h = 0.9 * min(sample.sd, iqr / 1.34) * n ** (-0.2)
+    h, f_hat = (float(v[0]) for v in _kde_rows(SampleRows((sample,))))
     if h <= 0.0:
         raise DegenerateDataError("zero bandwidth: sample has no usable spread")
-    # Past the float range z or f_hat is inf or nan, which the check below refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = (sample.median - sample.array) / h
-        f_hat = float(np.mean(np.exp(-0.5 * z * z)) / (h * math.sqrt(2.0 * math.pi)))
     if not 0.0 < f_hat < math.inf:
         raise UnsupportedSizeError(f"density estimate {f_hat!r} (bandwidth {h!r}): "
                                    "the data's spread is outside the float range")
@@ -211,10 +254,18 @@ def kde_at_median(sample: SortedSample) -> float:
 def cr_asymp_median(sample: SortedSample, alpha: float) -> Region:
     """Large-sample interval: median +- z / (2 sqrt(n) f_hat(median))."""
     _check_alpha(alpha)
-    f_hat = kde_at_median(sample)
-    half = norm_quantile(_upper_p(alpha)) / (2.0 * math.sqrt(sample.n) * f_hat)
-    m = sample.median
-    return _closed(m - half, m + half)
+    kde_at_median(sample)  # its refusals, with their own errors, come before the level's
+    return _closed(cr_asymp_median_rows(SampleRows((sample,)), alpha))
+
+
+def cr_asymp_median_rows(rows: SampleRows, alpha: float) -> tuple[np.ndarray, ...]:
+    """``cr_asymp_median`` on every row: its ends, nan where ``kde_at_median`` refuses."""
+    h, f_hat = _kde_rows(rows)
+    zq = norm_quantile(_upper_p(alpha))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        half = zq / (2.0 * math.sqrt(rows.x.shape[1]) * f_hat)
+    half[~((h > 0.0) & (0.0 < f_hat) & (f_hat < math.inf))] = math.nan
+    return rows.median - half, rows.median + half
 
 
 @dataclass(frozen=True)
@@ -237,8 +288,7 @@ class BootstrapDistribution:
         """Ceiling-index empirical quantile: the ceil(p * B)-th order statistic."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {p}")
-        idx = max(math.ceil(p * self.breps), 1)
-        return self.medians.values[idx - 1]
+        return self.medians.values[int(_ceil_index(p, self.breps))]
 
     def cdf_at(self, x: float) -> float:
         """Fraction of bootstrap medians at or below x."""
@@ -257,6 +307,25 @@ def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> Boots
     """
     if breps < 1:
         raise ValueError(f"breps must be >= 1, got {breps}")
+    med = bootstrap_median_rows((sample,), breps, (rng,))[0]
+    return BootstrapDistribution(SortedSample(tuple(med.tolist()), med), sample.median)
+
+
+def bootstrap_median_rows(samples, breps: int, rngs) -> np.ndarray:
+    """Row i: the sorted medians of ``bootstrap_medians(samples[i], breps, rngs[i])``.
+
+    The rows are resampled one at a time, so one resample matrix is alive at once.
+    """
+    out = np.empty((len(samples), breps))
+    for row, s, rng in zip(out, samples, rngs):
+        row[:] = _resampled_medians(s, breps, rng)
+    out.sort(axis=1)
+    out.flags.writeable = False
+    return out
+
+
+def _resampled_medians(sample: SortedSample, breps: int, rng: RngStream) -> np.ndarray:
+    """The medians of ``bootstrap_medians``, unsorted, in the order of their resamples."""
     n = sample.n
     arr = sample.array
     words = rng.bounded_words(n, breps * n).reshape(breps, n)
@@ -267,10 +336,7 @@ def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> Boots
         return arr[(words[:, j].astype(np.uint64) * n) >> 32]
 
     # Summed from +0.0 as np.median does: -0.0 data give 0.0, an underflowed mean -0.0.
-    med = 0.0 + column(mid) if n % 2 else midpoint(0.0 + column(mid - 1), column(mid))
-    med = np.sort(med)
-    med.flags.writeable = False
-    return BootstrapDistribution(SortedSample(tuple(med.tolist()), med), sample.median)
+    return 0.0 + column(mid) if n % 2 else midpoint(0.0 + column(mid - 1), column(mid))
 
 
 def jackknife_acceleration(sample: SortedSample) -> float:
@@ -305,29 +371,21 @@ def jackknife_acceleration(sample: SortedSample) -> float:
     return num / (6.0 * math.sqrt(m * n) * (m * (lo + up) ** 2 + lo * lo + up * up) ** 1.5)
 
 
-def _clamped_p0(boot: BootstrapDistribution) -> float:
-    p0 = boot.cdf_at(boot.observed_median)
-    lo = 1.0 / (2.0 * boot.breps)
-    hi = 1.0 - lo
-    if p0 < lo or p0 > hi:
-        warnings.warn(
-            "bootstrap tail probability clamped; bias correction is saturated",
-            ClampedProbabilityWarning,
-            stacklevel=3,
-        )
-        return min(max(p0, lo), hi)
-    return p0
+def _ceil_index(p, breps: int):
+    """0-based index of the ceil(p * breps)-th order statistic (at least the first); p may be an array."""
+    return np.maximum(np.ceil(np.multiply(p, breps)), 1).astype(np.intp) - 1
 
 
-def _reflect(m: float, q: float) -> float:
-    """2m - q, finite wherever the result itself is in the float range.
+def _reflect(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """2m - q by rows, finite wherever the result itself is in the float range.
 
     Where 2.0 * m - q is not finite, 2.0 * (m - 0.5 * q) is the float the
     same formula gives in an unbounded exponent range (halving and doubling
     are exact), so only a result beyond the float range stays infinite.
     """
-    r = 2.0 * m - q
-    return r if math.isfinite(r) else 2.0 * (m - 0.5 * q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = 2.0 * m - q
+        return np.where(np.isfinite(r), r, 2.0 * (m - 0.5 * q))
 
 
 def cr_bootstrap(
@@ -353,30 +411,48 @@ def cr_bootstrap(
     _check_alpha(alpha)
     if variant not in BOOTSTRAP_VARIANTS:
         raise ValueError(f"variant must be one of {BOOTSTRAP_VARIANTS}, got {variant!r}")
-    m = boot.observed_median
+    if variant == "se" and sample.n < 2:
+        raise ValueError(f"need n >= 2, got {sample.n}")
+    rows = SampleRows((sample,), boot.medians.array[None, :], np.array([boot.observed_median]))
+    return _closed(cr_bootstrap_rows(rows, alpha, variant))
+
+
+def cr_bootstrap_rows(rows: SampleRows, alpha: float, variant: str) -> tuple[np.ndarray, ...]:
+    """``cr_bootstrap`` on every row, from its sorted ``rows.medians`` and its ``rows.median``."""
+    medians, m = rows.medians, rows.median
+    breps = medians.shape[1]
+
+    def quantile(p):  # BootstrapDistribution.quantile for one p, or one p per row
+        return medians[np.arange(len(medians)), _ceil_index(p, breps)]
+
     if variant == "basic":
-        return _closed(_reflect(m, boot.quantile(1.0 - alpha / 2.0)),
-                       _reflect(m, boot.quantile(alpha / 2.0)))
+        return _reflect(m, quantile(1.0 - alpha / 2.0)), _reflect(m, quantile(alpha / 2.0))
     if variant == "se":
-        if sample.n < 2:
-            raise ValueError(f"need n >= 2, got {sample.n}")
-        if boot.breps < 2:
+        if breps < 2:
             raise UnsupportedSizeError(f"the bootstrap standard error needs breps >= 2, "
-                                       f"got {boot.breps}")
-        se = boot.medians.sd
-        if se == 0.0:
-            return _closed(m, m)
-        half = t_quantile(_upper_p(alpha), sample.n - 1) * se
-        return _closed(m - half, m + half)
+                                       f"got {breps}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            se = np.std(medians, axis=1, ddof=1)
+            tq = t_quantile(_upper_p(alpha), rows.samples[0].n - 1) if se.any() else 0.0
+            half = tq * se
+            # A zero se is the point interval at the median, -0.0 included.
+            return m - half, np.where(se == 0.0, m, m + half)
     if variant == "percentile":
-        return _closed(boot.quantile(alpha / 2.0), boot.quantile(1.0 - alpha / 2.0))
+        return quantile(alpha / 2.0), quantile(1.0 - alpha / 2.0)
 
     z_hi = norm_quantile(_upper_p(alpha))
     z_lo = norm_quantile(alpha / 2.0)
-    z0 = norm_quantile(_clamped_p0(boot))
+    # The share of medians at or below the observed one, clamped away from 0 and 1.
+    p0 = (medians <= m[:, None]).sum(axis=1) / breps
+    lo = 1.0 / (2.0 * breps)
+    clamped = np.minimum(np.maximum(p0, lo), 1.0 - lo)
+    if (clamped != p0).any():
+        warnings.warn("bootstrap tail probability clamped; bias correction is saturated",
+                      ClampedProbabilityWarning, stacklevel=3)
+    z0 = np.array([norm_quantile(p) for p in clamped.tolist()])
     # BC is BCa with a = 0.  |a| <= 0.0681, |z| <= 8.3 and |z0| < 6.2 for breps < 1e9,
     # so 1 - a (z0 + z) > 0 and p_lo, p_hi are never nan.
-    a = jackknife_acceleration(sample) if variant == "bca" else 0.0
-    p_lo = float(norm_cdf(z0 + (z0 + z_lo) / (1.0 - a * (z0 + z_lo))))
-    p_hi = float(norm_cdf(z0 + (z0 + z_hi) / (1.0 - a * (z0 + z_hi))))
-    return _closed(boot.quantile(p_lo), boot.quantile(p_hi))
+    a = np.array([jackknife_acceleration(s) for s in rows.samples]) if variant == "bca" else 0.0
+    p_lo = norm_cdf(z0 + (z0 + z_lo) / (1.0 - a * (z0 + z_lo)))
+    p_hi = norm_cdf(z0 + (z0 + z_hi) / (1.0 - a * (z0 + z_hi)))
+    return quantile(p_lo), quantile(p_hi)

@@ -12,8 +12,8 @@ class InfeasibleLevelError(ValueError):
         self.requested = requested
         self.attainable = attainable
         msg = (
-            f"confidence level {requested:g} is not attainable; "
-            f"maximum attainable level is {attainable:.10g}"
+            f"confidence level {requested!r} is not attainable; "
+            f"maximum attainable level is {attainable!r}"
         )
         if detail:
             msg += f" ({detail})"

@@ -16,12 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .classical import (
     BootstrapDistribution,
+    SampleRows,
     cr_asymp_median,
+    cr_asymp_median_rows,
     cr_bootstrap,
+    cr_bootstrap_rows,
     cr_sign,
     cr_t,
+    cr_t_rows,
     cr_wilcoxon,
 )
 from .optimal import (
@@ -43,9 +49,12 @@ class MethodInfo:
 
     ``region(sample, alpha, u, boot)`` builds the region.  A randomized method
     also carries ``selection(sample, alpha)``, the count selection that its
-    region realizes for the draw u.  Every callable reaches its procedure
-    through a name looked up at call time, so rebinding that module attribute
-    (as a tracer or a test does) reaches every caller.
+    region realizes for the draw u.  A batch form ``rows(rows, alpha, target)``
+    over a ``SampleRows`` gives three lists: whether each row is off (left to
+    ``region``), covers target, and its content, as ``region`` gives them.
+    Every callable reaches its procedure through a name looked up at call
+    time, so rebinding that module attribute (as a tracer or a test does)
+    reaches every caller.
     """
 
     method_id: int
@@ -53,6 +62,7 @@ class MethodInfo:
     region: Callable[[SortedSample, float, float | None, BootstrapDistribution | None], Region]
     selection: Callable[[SortedSample, float], Gamma0Selection] | None = None
     boot_variant: str | None = None
+    rows: Callable[[SampleRows, float, float], tuple[list, ...]] | None = None
 
     @property
     def randomized(self) -> bool:
@@ -63,9 +73,18 @@ class MethodInfo:
         return self.boot_variant is not None
 
 
+def _closed_rows(ends: tuple[np.ndarray, ...], target: float) -> tuple[list, ...]:
+    """Closed intervals [lo, hi] as rows; a row whose ends are not finite and ordered is off."""
+    lo, hi = ends
+    off = ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return off.tolist(), ((lo <= target) & (target <= hi)).tolist(), (hi - lo).tolist()
+
+
 def _bootstrap(method_id: int, name: str, variant: str) -> MethodInfo:
     return MethodInfo(method_id, name, lambda s, a, u, b: cr_bootstrap(s, a, b, variant),
-                      boot_variant=variant)
+                      boot_variant=variant,
+                      rows=lambda r, a, t: _closed_rows(cr_bootstrap_rows(r, a, variant), t))
 
 
 def _randomized(method_id: int, name: str,
@@ -75,10 +94,12 @@ def _randomized(method_id: int, name: str,
 
 
 METHODS: dict[int, MethodInfo] = {info.method_id: info for info in (
-    MethodInfo(1, "t_interval", lambda s, a, u, b: cr_t(s, a)),
+    MethodInfo(1, "t_interval", lambda s, a, u, b: cr_t(s, a),
+               rows=lambda r, a, t: _closed_rows(cr_t_rows(r, a), t)),
     MethodInfo(2, "signed_rank", lambda s, a, u, b: cr_wilcoxon(s, a)),
     MethodInfo(3, "sign", lambda s, a, u, b: cr_sign(s, a)),
-    MethodInfo(4, "asymp_median_kde", lambda s, a, u, b: cr_asymp_median(s, a)),
+    MethodInfo(4, "asymp_median_kde", lambda s, a, u, b: cr_asymp_median(s, a),
+               rows=lambda r, a, t: _closed_rows(cr_asymp_median_rows(r, a), t)),
     _bootstrap(5, "boot_basic", "basic"),
     _bootstrap(6, "boot_se_t", "se"),
     _bootstrap(7, "boot_percentile", "percentile"),

@@ -7,13 +7,23 @@ randomized method draws one fresh uniform.  Randomness is keyed per
 worker count, on which other methods run, or on the order of the
 distribution grid.
 
-``replicate`` returns each method's region for one sample; each cell keeps
-one running tally per method over its replications.  Infinite-content
-regions (possible for the sign region at small n and for the plug-in
-adaptive region) still count toward coverage but are excluded from the mean
-content and tallied separately.  The standardized content column scales the
-mean content by sqrt(n) to put sample sizes on one axis.  The CSV columns
-are the fields of ``SimResult``, in order.
+A cell (one law, one n) draws its replications' samples (``draw``; a draw
+beyond the float range fails every method) in blocks of ``_BLOCK``.  Methods
+2, 3 and 10-13 run one replication at a time through ``replicate``, which
+returns each method's region for one sample.  Methods 1 and 4-9 run once per
+block through their batch forms (``MethodInfo.rows``): 1 and 4 over the
+samples as matrix rows, 5-9 over one (block, breps) matrix of sorted
+bootstrap medians.  A method's one-replication form is its batch form on one
+row, a row off the plain path (overflow, a refused density) goes to
+``replicate``, and the contents are added in replication order: the CSV bytes
+are those of ``replicate`` on every replication, which stays the tests'
+oracle.  Memory does not grow with the number of replications.
+
+Infinite-content regions (possible for the sign region at small n and for
+the plug-in adaptive region) still count toward coverage but are excluded
+from the mean content and tallied separately.  The standardized content
+column scales the mean content by sqrt(n) to put sample sizes on one axis.
+The CSV columns are the fields of ``SimResult``, in order.
 """
 
 from __future__ import annotations
@@ -22,13 +32,23 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 
-from .classical import ClampedProbabilityWarning, bootstrap_medians
+import numpy as np
+
+from .classical import (
+    ClampedProbabilityWarning,
+    SampleRows,
+    bootstrap_median_rows,
+    bootstrap_medians,
+)
 from .distributions import DistributionSpec, RngStream, sample
 from .errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from .methods import METHODS, compute_region, method_info
-from .regions import Region, make_sample
+from .regions import Region, SortedSample, make_sample
 
-__all__ = ["SimConfig", "SimResult", "replicate", "run_simulation", "results_to_csv"]
+__all__ = ["SimConfig", "SimResult", "draw", "replicate", "run_simulation", "results_to_csv"]
+
+# What a method raises for one replication's sample; the cell counts it as a failure.
+_FAILURES = (InfeasibleLevelError, DegenerateDataError, UnsupportedSizeError)
 
 
 @dataclass(frozen=True)
@@ -84,6 +104,11 @@ class SimResult:
 CSV_HEADER = ",".join(f.name for f in fields(SimResult))
 
 
+# Replications that the batch forms evaluate together.  A block's bootstrap
+# medians, not the cell's, are alive at once: 64 x breps 2000 is 1 MB.
+_BLOCK = 64
+
+
 @dataclass
 class _Tally:
     """One method's running counts over the replications of a cell."""
@@ -93,62 +118,118 @@ class _Tally:
     infinite: int = 0
     failures: int = 0
 
+    def add(self, outcome: tuple[bool, float] | None) -> None:
+        """One replication's (covered, content), or None for a failure."""
+        if outcome is None:
+            self.failures += 1
+            return
+        covered, content = outcome
+        self.covered += covered
+        if math.isinf(content):
+            self.infinite += 1
+        else:
+            self.content_sum += content
 
-def replicate(dist: DistributionSpec, n: int, alpha: float, methods: tuple[int, ...],
-              breps: int, rng: RngStream) -> dict[int, Region | None]:
-    """Every requested method's region on one fresh sample.
+
+def draw(dist: DistributionSpec, n: int, rng: RngStream) -> SortedSample:
+    """One replication's sample: ``n`` draws on the "data" child of its stream, sorted.
+
+    A variate beyond the float range raises UnsupportedSizeError; the cell
+    counts that replication as a failure of every method.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = sample(dist, n, rng.child("data"))
+    if not np.isfinite(x).all():
+        raise UnsupportedSizeError(f"a draw from {dist.label} is outside the float range")
+    return make_sample(x)
+
+
+def replicate(sample: SortedSample, alpha: float, methods: tuple[int, ...], breps: int,
+              rng: RngStream) -> dict[int, Region | None]:
+    """Every requested method's region on one replication's sample, drawn by ``draw``.
 
     A method maps to None where it raised InfeasibleLevelError,
     DegenerateDataError or UnsupportedSizeError; the cell counts that
     replication as a failure.  Purpose-keyed child streams make the region
     for a given method independent of which other methods were requested.
     """
-    srt = make_sample(sample(dist, n, rng.child("data")))
     boot = None
     if any(METHODS[m].needs_bootstrap for m in methods):
-        boot = bootstrap_medians(srt, breps, rng.child("boot"))
+        boot = bootstrap_medians(sample, breps, rng.child("boot"))
     out: dict[int, Region | None] = {}
     for m in methods:
         u = rng.child("rand", m).uniform() if METHODS[m].randomized else None
         try:
-            out[m] = compute_region(m, srt, alpha, u=u, boot=boot)
-        except (InfeasibleLevelError, DegenerateDataError, UnsupportedSizeError):
+            out[m] = compute_region(m, sample, alpha, u=u, boot=boot)
+        except _FAILURES:
             out[m] = None
     return out
 
 
+def _outcome(region: Region | None, target: float) -> tuple[bool, float] | None:
+    return None if region is None else (region.contains(target), region.content)
+
+
+def _batch_outcomes(m: int, rows: SampleRows, alpha: float, target: float, breps: int,
+                    rngs: tuple[RngStream, ...]) -> list[tuple[bool, float] | None]:
+    """Method m's outcome on every row from its batch form; an off row takes ``replicate``."""
+    try:
+        off, covered, content = METHODS[m].rows(rows, alpha, target)
+    except _FAILURES:
+        # Refused for (n, alpha), as at an unattainable level: each row decides alone.
+        off = [True] * len(rngs)
+    return [_outcome(replicate(s, alpha, (m,), breps, rng)[m], target) if off[i]
+            else (covered[i], content[i]) for i, (s, rng) in enumerate(zip(rows.samples, rngs))]
+
+
+def _run_block(methods: list[int], block: list[tuple[SortedSample, RngStream]], alpha: float,
+               target: float, breps: int, tallies: dict[int, _Tally]) -> None:
+    """Tally each method's batch form on a block of drawn replications, in their order."""
+    samples, rngs = zip(*block)
+    medians = None
+    if any(METHODS[m].needs_bootstrap for m in methods):
+        medians = bootstrap_median_rows(samples, breps, [rng.child("boot") for rng in rngs])
+    rows = SampleRows(samples, medians)
+    for m in methods:
+        for outcome in _batch_outcomes(m, rows, alpha, target, breps, rngs):
+            tallies[m].add(outcome)
+
+
 def _run_cell(args) -> list[SimResult]:
     dist, n, config = args
-    target = dist.true_median()
+    alpha, breps, target = config.alpha, config.breps, dist.true_median()
+    single = tuple(m for m in config.methods if METHODS[m].rows is None)
+    batched = [m for m in config.methods if METHODS[m].rows is not None]
     tallies = {m: _Tally() for m in config.methods}
     # A clamped bootstrap probability is part of the method, not news for the CSV's reader.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClampedProbabilityWarning)
-        for rep in range(config.reps):
-            rng = RngStream(config.master_seed, (dist.label, n, rep))
-            regions = replicate(dist, n, config.alpha, config.methods, config.breps, rng)
-            for m, region in regions.items():
-                t = tallies[m]
-                if region is None:
-                    t.failures += 1
+        for start in range(0, config.reps, _BLOCK):
+            block = []
+            for rep in range(start, min(start + _BLOCK, config.reps)):
+                rng = RngStream(config.master_seed, (dist.label, n, rep))
+                try:
+                    s = draw(dist, n, rng)
+                except UnsupportedSizeError:
+                    for t in tallies.values():
+                        t.add(None)
                     continue
-                t.covered += region.contains(target)
-                content = region.content
-                if math.isinf(content):
-                    t.infinite += 1
-                else:
-                    t.content_sum += content
-    rows = []
+                block.append((s, rng))
+                for m, region in replicate(s, alpha, single, breps, rng).items():
+                    tallies[m].add(_outcome(region, target))
+            if batched and block:
+                _run_block(batched, block, alpha, target, breps, tallies)
+    out = []
     for m, t in tallies.items():
         ok = config.reps - t.failures
         cov = t.covered / ok if ok else math.nan
         mc_se = math.sqrt(cov * (1.0 - cov) / ok) if ok else math.nan
         mean = t.content_sum / (ok - t.infinite) if ok > t.infinite else math.nan
-        rows.append(SimResult(
+        out.append(SimResult(
             method=m, dist=dist.label, n=n, alpha=config.alpha, reps=config.reps,
             breps=config.breps, coverage=cov, mc_se=mc_se, mean_content=mean,
             std_content=mean * math.sqrt(n), infinite_count=t.infinite, failures=t.failures))
-    return rows
+    return out
 
 
 def run_simulation(config: SimConfig) -> list[SimResult]:

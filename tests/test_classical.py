@@ -446,8 +446,8 @@ def test_quartiles_equal_numpy_percentile(values):
     # whatever its sign, as the KDE check shows.
     s = make_sample(values)
     q75, q25 = np.percentile(s.array, [75.0, 25.0])
-    assert repr(_quartile(s, 0.75) + 0.0) == repr(float(q75) + 0.0)
-    assert repr(_quartile(s, 0.25) + 0.0) == repr(float(q25) + 0.0)
+    assert repr(_quartile(s.values, 0.75) + 0.0) == repr(float(q75) + 0.0)
+    assert repr(_quartile(s.values, 0.25) + 0.0) == repr(float(q25) + 0.0)
     try:
         got = kde_at_median(s)
     except DegenerateDataError:
@@ -845,3 +845,13 @@ def test_all_variants_cover_true_median_on_real_data():
         [iv] = r.intervals
         assert iv.lo <= iv.hi
         assert r.contains(s.median) or variant == "basic"
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1e-17])
+def test_zero_spread_is_the_point_interval_at_any_level(alpha):
+    # The t quantile is read only where a row has spread, and the point keeps
+    # the sign of a -0.0 median (bootstrap medians of -0.0 data are +0.0).
+    assert cr_t(make_sample([3.0] * 5), alpha).to_strings() == ["[3.0:3.0]"]
+    s = make_sample([-0.0] * 5)
+    boot = bootstrap_medians(s, 20, RngStream(1, ("boot",)))
+    assert cr_bootstrap(s, alpha, boot, "se").to_strings() == ["[-0.0:-0.0]"]

@@ -597,6 +597,21 @@ def test_cr_level_whose_upper_quantile_rounds_to_one_exits_infeasible(tmp_path, 
     assert "rounds to 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values, method, alpha, requested, attainable", [
+    (range(1, 11), 9, "1e-17", "1.0", "0.9999999999999999"),
+    (range(50), 2, "1e-15", "0.999999999999999", "0.9999999999999982"),
+])
+def test_infeasible_level_message_tells_the_two_levels_apart(tmp_path, capsys, values, method,
+                                                              alpha, requested, attainable):
+    # Both levels once printed as 1: they are written with repr.
+    p = tmp_path / "x.txt"
+    p.write_text(" ".join(map(str, values)))
+    assert main(["cr", "--input", str(p), "--methods", str(method), "--alpha", alpha]) \
+        == EXIT_INFEASIBLE
+    assert (f"confidence level {requested} is not attainable; "
+            f"maximum attainable level is {attainable} (") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("alpha", ["1e-17", "5e-324"])
 def test_simulate_counts_a_level_whose_quantile_rounds_to_one_as_failures(capsys, alpha):
     # Method 1 fails every replication; method 3's rows are still written.

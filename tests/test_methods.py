@@ -37,7 +37,7 @@ from mediancr.optimal import (
     symmetric_selection,
 )
 from mediancr.regions import Interval, Region, make_sample
-from mediancr.simulate import SimConfig, replicate
+from mediancr.simulate import SimConfig, draw, replicate
 
 ALPHA = 0.05
 
@@ -316,7 +316,8 @@ def test_bca_is_bc_at_even_n_on_a_grid_replication():
     # form's float residue in a, which is 0 at even n, once moved method 9's
     # upper end to 1.959697160724324.
     dist = study_distributions()["mixture"]
-    regions = replicate(dist, 50, ALPHA, (8, 9), 2000, RngStream(2026, (dist.label, 50, 1108)))
+    rng = RngStream(2026, (dist.label, 50, 1108))
+    regions = replicate(draw(dist, 50, rng), ALPHA, (8, 9), 2000, rng)
     assert regions[8] == regions[9] == Region((Interval(-4.665835574545429, 1.9265057807104018,
                                                         closed_hi=True),))
 

@@ -1,23 +1,40 @@
 """Monte Carlo harness: pairing, aggregation, CSV stability."""
 
 import math
-from dataclasses import fields
+import tracemalloc
+import warnings
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mediancr.classical import (
+    ClampedProbabilityWarning,
+    SampleRows,
+    bootstrap_median_rows,
+    bootstrap_medians,
+)
 from mediancr.distributions import (
     RngStream,
     exponential,
     normal,
+    sample,
     study_distributions,
     uniform,
 )
-from mediancr.regions import Region
+from mediancr.errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
+from mediancr.methods import ALL_METHOD_IDS, METHODS, compute_region
+from mediancr.regions import Region, make_sample
 from mediancr.simulate import (
+    _BLOCK,
     CSV_HEADER,
     SimConfig,
     SimResult,
+    _batch_outcomes,
+    _run_cell,
+    draw,
     replicate,
     results_to_csv,
     run_simulation,
@@ -58,19 +75,20 @@ def test_config_validation():
 
 def test_replicate_deterministic_and_subset_invariant():
     rng = RngStream(7, (normal().label, 10, 0))
-    full = replicate(normal(), 10, 0.05, tuple(range(1, 14)), 50, rng)
-    again = replicate(normal(), 10, 0.05, tuple(range(1, 14)), 50, rng)
+    full = replicate(draw(normal(), 10, rng), 0.05, tuple(range(1, 14)), 50, rng)
+    again = replicate(draw(normal(), 10, rng), 0.05, tuple(range(1, 14)), 50, rng)
     assert full == again
     # Asking for fewer methods must not change the shared ones: each method
     # draws from its own purpose-keyed stream.
-    some = replicate(normal(), 10, 0.05, (3, 9, 12), 50, rng)
+    some = replicate(draw(normal(), 10, rng), 0.05, (3, 9, 12), 50, rng)
     for m in (3, 9, 12):
         assert some[m] == full[m]
 
 
 def test_replicate_records_failures():
     # Method 11 cannot reach level .95 at n = 3 (attainable 7/8).
-    out = replicate(uniform(-1.0, 1.0), 3, 0.05, (3, 11), 10, RngStream(1, ("f", 0)))
+    rng = RngStream(1, ("f", 0))
+    out = replicate(draw(uniform(-1.0, 1.0), 3, rng), 0.05, (3, 11), 10, rng)
     assert out[11] is None
     assert isinstance(out[3], Region)
 
@@ -153,27 +171,74 @@ def test_binomial_size_cap_is_a_per_replication_failure():
             assert math.isnan(row.coverage)
 
 
+def oracle_rows(config: SimConfig) -> list[SimResult]:
+    """Every row rebuilt from one ``replicate`` call per replication."""
+    rows = []
+    for dist in config.distributions:
+        target = dist.true_median()
+        for n in config.sample_sizes:
+            covered = dict.fromkeys(config.methods, 0)
+            content = dict.fromkeys(config.methods, 0.0)
+            infinite = dict.fromkeys(config.methods, 0)
+            failures = dict.fromkeys(config.methods, 0)
+            for rep in range(config.reps):
+                rng = RngStream(config.master_seed, (dist.label, n, rep))
+                try:
+                    s = draw(dist, n, rng)
+                except UnsupportedSizeError:
+                    out = dict.fromkeys(config.methods)
+                else:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", ClampedProbabilityWarning)
+                        out = replicate(s, config.alpha, config.methods, config.breps, rng)
+                for m, region in out.items():
+                    if region is None:
+                        failures[m] += 1
+                    elif math.isinf(region.content):
+                        covered[m] += region.contains(target)
+                        infinite[m] += 1
+                    else:
+                        covered[m] += region.contains(target)
+                        content[m] += region.content
+            for m in config.methods:
+                ok = config.reps - failures[m]
+                cov = covered[m] / ok if ok else math.nan
+                mean = content[m] / (ok - infinite[m]) if ok > infinite[m] else math.nan
+                rows.append(SimResult(
+                    m, dist.label, n, config.alpha, config.reps, config.breps, cov,
+                    math.sqrt(cov * (1 - cov) / ok) if ok else math.nan, mean,
+                    mean * math.sqrt(n), infinite[m], failures[m]))
+    return rows
+
+
 def test_coverage_and_content_recomputed_from_replicates():
-    cfg = small_config(distributions=(normal(),), sample_sizes=(10,), reps=25,
-                       methods=(1, 10))
-    [row1, row10] = run_simulation(cfg)
-    med = normal().true_median()
-    cover = {1: 0, 10: 0}
-    content = {1: 0.0, 10: 0.0}
-    for rep in range(25):
-        rng = RngStream(7, (normal().label, 10, rep))
-        out = replicate(normal(), 10, 0.05, (1, 10), 50, rng)
-        for m in (1, 10):
-            cover[m] += out[m].contains(med)
-            content[m] += out[m].content
-    assert row1.coverage == cover[1] / 25
-    assert row10.coverage == cover[10] / 25
-    assert row1.mean_content == pytest.approx(content[1] / 25, rel=1e-12)
-    assert row10.mean_content == pytest.approx(content[10] / 25, rel=1e-12)
-    assert row1.std_content == pytest.approx(row1.mean_content * math.sqrt(10), rel=1e-12)
-    se = math.sqrt(row1.coverage * (1 - row1.coverage) / 25)
-    assert row1.mc_se == pytest.approx(se, rel=1e-12)
-    assert med == 0.0
+    # Every law of the study plus two that push rows off the batch path:
+    # 1e-322 spans about 20 subnormals, so rows tie, and 1e307 overflows the
+    # sums of methods 1 and 6.
+    tied, wide = uniform(0.0, 1e-322), normal(0.0, 1e307)
+    cfg = small_config(distributions=(*study_distributions().values(), tied, wide),
+                       sample_sizes=(10, 11), reps=5, master_seed=3)
+    got = run_simulation(cfg)
+    # repr tells every float apart, -0.0 too, and gives nan == nan.
+    assert [repr(astuple(r)) for r in got] == [repr(astuple(r)) for r in oracle_rows(cfg)]
+    row = {(r.dist, r.n, r.method): r for r in got}
+    for n in (10, 11):
+        assert row[tied.label, n, 4].failures == 5
+        assert row[tied.label, n, 13].infinite_count == 5 - row[tied.label, n, 13].failures
+        assert row[wide.label, n, 1].failures == row[wide.label, n, 6].failures == 5
+    assert (row[tied.label, 10, 12].failures, row[tied.label, 11, 12].failures) == (5, 4)
+
+
+def test_draw_beyond_the_float_range_is_a_failure_of_every_method():
+    # About half the normal(0, 1e308) variates overflow to +-inf.
+    dist = normal(0.0, 1e308)
+    cfg = small_config(distributions=(dist,), sample_sizes=(10,), reps=12, methods=(3, 7, 10))
+    with np.errstate(over="ignore"):
+        overflowed = sum(
+            not np.isfinite(sample(dist, 10, RngStream(7, (dist.label, 10, rep)).child("data"))).all()
+            for rep in range(12))
+    assert 0 < overflowed < 12
+    assert [r.failures for r in run_simulation(cfg)] == [overflowed] * 3
 
 
 def test_csv_format():
@@ -252,7 +317,8 @@ def test_warm_replication_constructs_no_bit_generator(monkeypatch):
     # randomizer draws.  Once the cell is warm, constructing a generator per
     # draw would show up here as a construction.
     dist, methods = study_distributions()["mixture"], tuple(range(1, 14))
-    replicate(dist, 10, 0.05, methods, 50, RngStream(4, (dist.label, 10, 0)))
+    rng = RngStream(4, (dist.label, 10, 0))
+    replicate(draw(dist, 10, rng), 0.05, methods, 50, rng)
     constructed = []
     philox = np.random.Philox
 
@@ -261,8 +327,100 @@ def test_warm_replication_constructs_no_bit_generator(monkeypatch):
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
-    out = replicate(dist, 10, 0.05, methods, 50, RngStream(4, (dist.label, 10, 1)))
+    rng = RngStream(4, (dist.label, 10, 1))
+    out = replicate(draw(dist, 10, rng), 0.05, methods, 50, rng)
     assert sorted(out) == list(methods)
     assert constructed == []
     RngStream(4).generator()  # the guard does see a construction
     assert len(constructed) == 1
+
+
+BATCHED = [m for m in ALL_METHOD_IDS if METHODS[m].rows is not None]
+
+# A row is n mantissas times one scale, or times a scale each: ties from the
+# few fixed mantissas, sums that overflow at 1e308, subnormal rows that round
+# to ties, and mixed rows whose bandwidth is subnormal while their sd is not.
+MANTISSA = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), st.floats(-1.75, 1.75))
+SCALE = st.sampled_from([1.0, 1e308, 2.0 ** -1040, 2.0 ** -1072])
+
+
+def sample_row(n):
+    one_scale = st.builds(lambda m, c: [v * c for v in m],
+                          st.lists(MANTISSA, min_size=n, max_size=n), SCALE)
+    mixed = st.lists(st.builds(lambda m, c: m * c, MANTISSA, SCALE), min_size=n, max_size=n)
+    return st.one_of(one_scale, mixed).map(make_sample)
+
+
+def test_methods_1_and_4_to_9_have_batch_forms():
+    # The benchmark's traced gate reads spans of methods 3 and 13 under replicate.
+    assert BATCHED == [1, 4, 5, 6, 7, 8, 9]
+
+
+@pytest.mark.parametrize("method", BATCHED)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(3, 12), reps=st.integers(1, 4), breps=st.integers(1, 30),
+       alpha=st.sampled_from([0.05, 0.3, 0.9, 1e-17]))
+def test_batch_form_equals_the_scalar_form_row_by_row(method, data, n, reps, breps, alpha):
+    samples = tuple(data.draw(sample_row(n)) for _ in range(reps))
+    # Region ends are order statistics, so a target on one tests their closure.
+    target = data.draw(st.sampled_from([0.0, samples[0].median, *samples[0].values]))
+    rngs = [RngStream(11, ("rows", i)) for i in range(reps)]
+    info = METHODS[method]
+    medians = None
+    if info.needs_bootstrap:
+        medians = bootstrap_median_rows(samples, breps, [rng.child("boot") for rng in rngs])
+    rows = SampleRows(samples, medians)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClampedProbabilityWarning)
+        got = _batch_outcomes(method, rows, alpha, target, breps, rngs)
+        want = []
+        for s, rng in zip(samples, rngs):
+            boot = bootstrap_medians(s, breps, rng.child("boot")) if info.needs_bootstrap else None
+            assert boot is None or boot.medians.array.tobytes() == medians[len(want)].tobytes()
+            u = rng.child("rand", method).uniform() if info.randomized else None
+            try:
+                region = compute_region(method, s, alpha, u=u, boot=boot)
+            except (InfeasibleLevelError, DegenerateDataError, UnsupportedSizeError):
+                want.append(None)
+            else:
+                want.append((region.contains(target), region.content))
+    assert [repr(o) for o in got] == [repr(o) for o in want]
+
+
+@pytest.mark.parametrize("method", BATCHED)
+def test_batch_form_decides_ordinary_rows_itself(method):
+    # Off rows fall back to the scalar form, so equal outputs alone would not
+    # show that the batch form runs; on normal data it decides every row.
+    rngs = [RngStream(5, ("rows", i)) for i in range(8)]
+    samples = tuple(draw(normal(), 11, rng) for rng in rngs)
+    medians = bootstrap_median_rows(samples, 50, [rng.child("boot") for rng in rngs])
+    off = METHODS[method].rows(SampleRows(samples, medians), 0.05, 0.0)[0]
+    assert not any(off)
+
+
+def _cell_peak(n: int, reps: int, breps: int) -> int:
+    cfg = small_config(distributions=(normal(),), sample_sizes=(n,), reps=reps, breps=breps,
+                       methods=(5, 6, 7, 8, 9))
+    _run_cell((normal(), n, small_config(distributions=(normal(),), reps=1, methods=(5, 9))))
+    tracemalloc.start()
+    try:
+        _run_cell((normal(), n, cfg))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cell_peak_memory_is_one_resample_matrix_and_the_medians():
+    # A sim_boot-sized cell: the resamples are drawn one replication at a
+    # time; twenty resample matrices alive at once would be 8 MB.
+    n, reps, breps = 50, 20, 2000
+    assert _cell_peak(n, reps, breps) <= breps * n * 4 + reps * breps * 8 + 2**18
+
+
+def test_cell_peak_memory_does_not_grow_with_reps():
+    # Past one block, the cell holds one block's medians and one temporary of
+    # their size (method 6's deviations), whatever the number of replications.
+    n, breps = 50, 2000
+    few, many = _cell_peak(n, 133, breps), _cell_peak(n, 384, breps)
+    assert many <= few + 2**16
+    assert few <= breps * n * 4 + 2 * _BLOCK * breps * 8 + 2**18
