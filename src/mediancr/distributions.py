@@ -431,8 +431,12 @@ class DistributionSpec:
         return self._call(_FAMILIES[self.family].pdf, x)
 
     def quantile(self, p):
-        """Inverse CDF; accepts scalars or arrays with entries in (0, 1)."""
-        return self._call(_FAMILIES[self.family].quantile, p)
+        """Inverse CDF; accepts scalars or arrays with entries in (0, 1).
+
+        A quantile beyond the float range is its IEEE value (inf), without a warning.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._call(_FAMILIES[self.family].quantile, p)
 
     def true_median(self) -> float:
         """The median: the family's own formula where it has one, else quantile(1/2)."""
@@ -633,12 +637,19 @@ def sample(dist: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
 
     Deterministic in (dist, n, rng): the same arguments always yield the same
     array.  Each variate is ``dist.quantile`` of one uniform, except the normal
-    mixture, which consumes exactly two (component coin, then normal draw).
+    mixture, which consumes exactly two (component coin, then normal draw).  A
+    variate beyond the float range raises UnsupportedSizeError, without a
+    numpy warning.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = rng._rekeyed()
     draw = _FAMILIES[dist.family].draw
-    if draw is not None:
-        return draw(gen, n, *dist.params)
-    return dist.quantile(np.maximum(gen.random(n), _U_FLOOR))
+    if draw is None:
+        x = dist.quantile(np.maximum(gen.random(n), _U_FLOOR))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = draw(gen, n, *dist.params)
+    if not np.isfinite(x).all():
+        raise UnsupportedSizeError(f"a draw from {dist.label} is outside the float range")
+    return x

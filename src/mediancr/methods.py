@@ -29,13 +29,16 @@ from .classical import (
     cr_t,
     cr_t_rows,
     cr_wilcoxon,
+    cr_wilcoxon_rows,
 )
 from .optimal import (
     Gamma0Selection,
     adaptive_edf_selection,
+    adaptive_mom_rows,
     adaptive_mom_selection,
     assemble_region,
     exponential_selection,
+    fixed_selection_rows,
     symmetric_selection,
 )
 from .regions import Region, SortedSample
@@ -49,12 +52,13 @@ class MethodInfo:
 
     ``region(sample, alpha, u, boot)`` builds the region.  A randomized method
     also carries ``selection(sample, alpha)``, the count selection that its
-    region realizes for the draw u.  A batch form ``rows(rows, alpha, target)``
-    over a ``SampleRows`` gives three lists: whether each row is off (left to
-    ``region``), covers target, and its content, as ``region`` gives them.
-    Every callable reaches its procedure through a name looked up at call
-    time, so rebinding that module attribute (as a tracer or a test does)
-    reaches every caller.
+    region realizes for the draw u.  A batch form ``rows(rows, alpha, target,
+    u)`` over a ``SampleRows``, with one uniform per row in the array ``u``
+    for a randomized method and None otherwise, gives three lists: whether
+    each row is off (left to ``region``), covers target, and its content, as
+    ``region`` gives them.  Every callable reaches its procedure through a
+    name looked up at call time, so rebinding that module attribute (as a
+    tracer or a test does) reaches every caller.
     """
 
     method_id: int
@@ -62,7 +66,7 @@ class MethodInfo:
     region: Callable[[SortedSample, float, float | None, BootstrapDistribution | None], Region]
     selection: Callable[[SortedSample, float], Gamma0Selection] | None = None
     boot_variant: str | None = None
-    rows: Callable[[SampleRows, float, float], tuple[list, ...]] | None = None
+    rows: Callable[[SampleRows, float, float, np.ndarray | None], tuple[list, ...]] | None = None
 
     @property
     def randomized(self) -> bool:
@@ -81,33 +85,46 @@ def _closed_rows(ends: tuple[np.ndarray, ...], target: float) -> tuple[list, ...
         return off.tolist(), ((lo <= target) & (target <= hi)).tolist(), (hi - lo).tolist()
 
 
+def _half_open_rows(ends: tuple[np.ndarray, ...], target: float) -> tuple[list, ...]:
+    """Half-open windows [lo, hi) as rows, empty where lo >= hi; no row is off."""
+    lo, hi = ends
+    with np.errstate(over="ignore"):
+        return ([False] * len(lo), ((lo <= target) & (target < hi)).tolist(),
+                np.where(lo < hi, hi - lo, 0.0).tolist())
+
+
 def _bootstrap(method_id: int, name: str, variant: str) -> MethodInfo:
     return MethodInfo(method_id, name, lambda s, a, u, b: cr_bootstrap(s, a, b, variant),
                       boot_variant=variant,
-                      rows=lambda r, a, t: _closed_rows(cr_bootstrap_rows(r, a, variant), t))
+                      rows=lambda r, a, t, u: _closed_rows(cr_bootstrap_rows(r, a, variant), t))
 
 
 def _randomized(method_id: int, name: str,
-                selection: Callable[[SortedSample, float], Gamma0Selection]) -> MethodInfo:
+                selection: Callable[[SortedSample, float], Gamma0Selection],
+                rows: Callable | None = None) -> MethodInfo:
     return MethodInfo(method_id, name, lambda s, a, u, b: assemble_region(s, selection(s, a), u),
-                      selection=selection)
+                      selection=selection, rows=rows)
 
 
 METHODS: dict[int, MethodInfo] = {info.method_id: info for info in (
     MethodInfo(1, "t_interval", lambda s, a, u, b: cr_t(s, a),
-               rows=lambda r, a, t: _closed_rows(cr_t_rows(r, a), t)),
-    MethodInfo(2, "signed_rank", lambda s, a, u, b: cr_wilcoxon(s, a)),
+               rows=lambda r, a, t, u: _closed_rows(cr_t_rows(r, a), t)),
+    MethodInfo(2, "signed_rank", lambda s, a, u, b: cr_wilcoxon(s, a),
+               rows=lambda r, a, t, u: _half_open_rows(cr_wilcoxon_rows(r.x, a), t)),
     MethodInfo(3, "sign", lambda s, a, u, b: cr_sign(s, a)),
     MethodInfo(4, "asymp_median_kde", lambda s, a, u, b: cr_asymp_median(s, a),
-               rows=lambda r, a, t: _closed_rows(cr_asymp_median_rows(r, a), t)),
+               rows=lambda r, a, t, u: _closed_rows(cr_asymp_median_rows(r, a), t)),
     _bootstrap(5, "boot_basic", "basic"),
     _bootstrap(6, "boot_se_t", "se"),
     _bootstrap(7, "boot_percentile", "percentile"),
     _bootstrap(8, "boot_bc", "bc"),
     _bootstrap(9, "boot_bca", "bca"),
-    _randomized(10, "rand_uniform_profile", lambda s, a: symmetric_selection(s, a)),
-    _randomized(11, "rand_exponential_profile", lambda s, a: exponential_selection(s, a)),
-    _randomized(12, "rand_adaptive_spacings", lambda s, a: adaptive_mom_selection(s, a)),
+    _randomized(10, "rand_uniform_profile", lambda s, a: symmetric_selection(s, a),
+                lambda r, a, t, u: fixed_selection_rows("uniform", r, a, t, u)),
+    _randomized(11, "rand_exponential_profile", lambda s, a: exponential_selection(s, a),
+                lambda r, a, t, u: fixed_selection_rows("exponential", r, a, t, u)),
+    _randomized(12, "rand_adaptive_spacings", lambda s, a: adaptive_mom_selection(s, a),
+                lambda r, a, t, u: adaptive_mom_rows(r, a, t, u)),
     _randomized(13, "rand_adaptive_plugin", lambda s, a: adaptive_edf_selection(s, a)),
 )}
 

@@ -18,6 +18,9 @@ Four selection builders feed it: the two closed forms of
 that estimate the profile from the observed sample.  ``assemble_region``
 realizes a selection for one uniform draw u; ``methods.METHODS`` pairs each
 builder with it.
+
+``fixed_selection_rows`` and ``adaptive_mom_rows`` are the batch forms of
+methods 10-12 over the rows of a block of samples.
 """
 
 from __future__ import annotations
@@ -26,12 +29,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+import numpy as np
 
 from .distributions import binom_counts
 from .errors import InfeasibleLevelError, UnsupportedSizeError
-from .regions import Region, SortedSample, region_from_gamma0
-from .spacings import FIXED_PROFILES, RATIO_TIE_RTOL, LkProfile, lk_edf, lk_mom
+from .regions import Region, SortedSample, count_runs, region_from_gamma0
+from .spacings import FIXED_PROFILES, RATIO_TIE_RTOL, LkProfile, lk_edf, lk_mom, lk_mom_ratio_rows
+
+if TYPE_CHECKING:
+    from .classical import SampleRows
 
 __all__ = [
     "Gamma0Selection",
@@ -100,6 +108,12 @@ def _target(n: int, alpha: float) -> tuple[Fraction, int]:
     return target, math.floor(target)
 
 
+def _gamma(target: Fraction, cum: int, tie_mass: int) -> float:
+    """(target - cum) / tie_mass, correctly rounded: one division of integers."""
+    num, den = target.numerator, target.denominator
+    return (num - cum * den) / (den * tie_mass)
+
+
 def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
     """Choose the admitted counts and randomization weight at level 1 - alpha.
 
@@ -147,7 +161,7 @@ def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
     return Gamma0Selection(
         n=n, alpha=alpha,
         included=frozenset(included), tie_set=frozenset(tie_ks),
-        c=tie_ratio, gamma=float((target - cum) / tie_mass) if tie_ks else 0.0,
+        c=tie_ratio, gamma=_gamma(target, cum, tie_mass) if tie_ks else 0.0,
         p_included=cum / scale, p_tie=tie_mass / scale,
     )
 
@@ -217,3 +231,86 @@ def adaptive_edf_selection(sample: SortedSample, alpha: float) -> Gamma0Selectio
     if not all(map(math.isfinite, profile.l)):
         raise UnsupportedSizeError("spacing estimate not finite: data spread outside the float range")
     return select_gamma0(profile, alpha)
+
+
+# -- batch forms -------------------------------------------------------------
+#
+# Methods 10-12 on the rows of a ``SampleRows``, one uniform u per row: three
+# lists, whether each row is off (left to the one-sample form), whether its
+# region covers target, and its content, as ``assemble_region`` gives them.
+
+
+def fixed_selection_rows(name: str, rows: SampleRows, alpha: float, target: float,
+                         u: np.ndarray) -> tuple[list, ...]:
+    """``assemble_region`` of ``_fixed_selection(name, n, alpha)`` on every row.
+
+    A row covers target when its count #{x_i <= target} is admitted.  Its
+    content adds x_(b+1) - x_(a) over the admitted runs (``count_runs``) in
+    ascending order from 0.0, once with the tie group and once without; each
+    row takes the one its u picks.  A row with tied values is off: there a
+    piece may vanish or merge with the next.
+    """
+    x = rows.x
+    n = x.shape[1]
+    sel = _fixed_selection(name, n, alpha)
+    count = (x <= target).sum(axis=1)
+    # x_(0) .. x_(n+1) with both sentinels, row by row.
+    inf = np.full((len(x), 1), math.inf)
+    ends = np.concatenate((-inf, x, inf), axis=1)
+    outcomes = []
+    for ks in (sel.included, sel.included | sel.tie_set):
+        admitted = np.zeros(n + 1, dtype=bool)
+        admitted[list(ks)] = True
+        content = np.zeros(len(x))
+        with np.errstate(over="ignore"):
+            for a, b in count_runs(sorted(ks)):
+                content += ends[:, b] - ends[:, a]
+        outcomes.append((admitted[count], content))
+    (covered, content), (covered_tie, content_tie) = outcomes
+    tie = u <= sel.gamma
+    off = (x[:, 1:] == x[:, :-1]).any(axis=1)
+    return (off.tolist(), np.where(tie, covered_tie, covered).tolist(),
+            np.where(tie, content_tie, content).tolist())
+
+
+def adaptive_mom_rows(rows: SampleRows, alpha: float, target: float,
+                      u: np.ndarray) -> tuple[list, ...]:
+    """``assemble_region`` of ``adaptive_mom_selection`` on every row.
+
+    ``select_gamma0`` runs on every row's ``lk_mom`` profile at once, where
+    each ratio group is a single count: a stable argsort of the ratios, exact
+    integer cumulative masses (int64 while 2**n fits, Python ints above) and
+    gamma from ``_gamma``.  A row is off where it has tied values or a ratio
+    that is not finite and positive, where two neighbouring sorted ratios are
+    equal or within RATIO_TIE_RTOL (a group of two or more counts), and where
+    no count's cumulative mass crosses the target (an infeasible level, or
+    one met exactly by every count).
+    """
+    x = rows.x
+    n = x.shape[1]
+    counts = binom_counts(n)
+    mass_target, floor_target = _target(n, alpha)
+    num, den = mass_target.numerator, mass_target.denominator
+    # The interior counts 1..n-1: the boundary ones have ratio 0 and never enter.
+    ratio = lk_mom_ratio_rows(x)[:, 1:n]
+    order = np.argsort(-ratio, axis=1, kind="stable")
+    r = np.take_along_axis(ratio, order, axis=1)
+    with np.errstate(invalid="ignore"):
+        off = ~(np.isfinite(r) & (r > 0.0)).all(axis=1)
+        off |= (r[:, :-1] - r[:, 1:] <= RATIO_TIE_RTOL * r[:, :-1]).any(axis=1)
+    mass = np.array(counts[1:n], dtype=np.int64 if n < 63 else object)[order]
+    cum = np.cumsum(mass, axis=1)
+    over = cum > floor_target
+    off |= ~over[:, -1]
+    tie_at = over.argmax(axis=1)
+    covered, content = [False] * len(x), [0.0] * len(x)
+    for i in np.flatnonzero(~off).tolist():
+        j = int(tie_at[i])
+        cum_in = int(cum[i, j - 1]) if j else 0
+        # cum_in < mass_target, in integers.  At a natural confidence
+        # coefficient the admitted mass alone is exact, and no count is tied.
+        if cum_in * den < num and u[i] <= _gamma(mass_target, cum_in, int(mass[i, j])):
+            j += 1
+        region = region_from_gamma0(rows.samples[i], (order[i, :j] + 1).tolist())
+        covered[i], content[i] = region.contains(target), region.content
+    return off.tolist(), covered, content

@@ -90,12 +90,18 @@ class LkProfile:
         l = np.asarray(self.l, dtype=float)
         if (l < 0.0).any():
             raise ValueError("spacings must be nonnegative")
-        # C(n, k) * 2**-n is exact (2**-1000 is a normal float).  As Python's
-        # float division does, pmf / inf gives 0.0 and pmf / 0.0 gives inf,
-        # and neither that nor an overflow warns.
-        with np.errstate(divide="ignore", over="ignore"):
-            ratio = _float_counts(self.n) * 0.5 ** self.n / l
-        object.__setattr__(self, "ratio", tuple(ratio.tolist()))
+        object.__setattr__(self, "ratio", tuple(_ratio(self.n, l).tolist()))
+
+
+def _ratio(n: int, l: np.ndarray) -> np.ndarray:
+    """r(k) = binom_pmf(k, n) / l(k) along the last axis of the spacings ``l``.
+
+    C(n, k) * 2**-n is exact (2**-1000 is a normal float).  As Python's float
+    division does, pmf / inf gives 0.0 and pmf / 0.0 gives inf, and neither
+    that nor an overflow warns.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        return _float_counts(n) * 0.5 ** n / l
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -156,6 +162,18 @@ def lk_mom(sample: SortedSample) -> LkProfile:
         gaps.append(gap)
     l = (math.inf,) + tuple(gaps) + (math.inf,)
     return LkProfile(n, l)
+
+
+def lk_mom_ratio_rows(x: np.ndarray) -> np.ndarray:
+    """The ``ratio`` of ``lk_mom`` for each row of the sorted samples ``x``.
+
+    A zero spacing, which ``lk_mom`` refuses, gives the ratio inf here; a
+    spacing that overflows is inf, as in ``lk_mom``, and its ratio 0.
+    """
+    l = np.full((len(x), x.shape[1] + 1), math.inf)
+    with np.errstate(over="ignore"):
+        np.subtract(x[:, 1:], x[:, :-1], out=l[:, 1:-1])
+    return _ratio(x.shape[1], l)
 
 
 # Rows per block of lk_edf and of its weight table's build: a full

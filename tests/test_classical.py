@@ -40,7 +40,7 @@ from mediancr.distributions import (
     t_quantile,
 )
 from mediancr.errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
-from mediancr.regions import Interval, SortedSample, make_sample
+from mediancr.regions import Interval, Region, SortedSample, make_sample
 
 # ---------------------------------------------------------------------------
 # t interval
@@ -77,12 +77,41 @@ def test_t_interval_constant_data_collapses():
     assert r.content == 0.0
 
 
-def test_sample_sd_is_shared_and_equals_numpy():
-    # Methods 1 and 4 read one ddof=1 sd per sample; its value is np.std's.
-    data = [0.3, -1.2, 4.5, 2.2, 2.2, 0.0]
-    s = make_sample(data)
-    assert repr(s.sd) == repr(float(np.std(np.array(sorted(data)), ddof=1)))
-    assert s.__dict__["sd"] is s.sd
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=30))
+@example(values=[0.0] * 12 + [-9.9792015476736e291, 1.7976931348623157e308,
+                             1.7976931348623157e308, -1.7976931348623157e308])  # the mean is nan
+@example(values=[-1e-300, 1e300])  # the sd is inf
+@example(values=[-1e160 * i for i in range(-5, 6)])  # the variance overflows, the sd would not
+def test_t_and_bootstrap_se_take_numpys_sd_silently_past_the_float_range(values):
+    # Oracle: numpy's mean and ddof=1 std of the sorted values, and of the
+    # bootstrap medians for method 6, overflow allowed.  Each interval is the
+    # center -+ t * spread, or the point at the center where the sd is 0;
+    # where an end is not finite and ordered it is refused, never with a
+    # numpy warning.
+    s = make_sample(values)
+    n = s.n
+    boot = bootstrap_medians(s, 20, RngStream(1, ("boot",)))
+    tq = t_quantile(0.975, n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.sort(np.array(values))
+        sd = float(np.std(x, ddof=1))
+        se = float(np.std(boot.medians.array, ddof=1))
+        cases = [(lambda: cr_t(s, 0.05), float(np.mean(x)), sd, tq * sd / math.sqrt(n)),
+                 (lambda: cr_bootstrap(s, 0.05, boot, "se"), s.median, se, tq * se)]
+    for region, center, spread, half in cases:
+        lo, hi = (center, center) if spread == 0.0 else (center - half, center + half)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if math.isfinite(lo) and math.isfinite(hi) and lo <= hi:
+                assert repr(region()) == repr(Region((Interval(lo, hi, closed_hi=True),)))
+            else:
+                with pytest.raises(UnsupportedSizeError, match="outside the float range"):
+                    region()
+
+
+def test_sample_and_bootstrap_medians_are_read_only_through_pickling():
+    s = make_sample([0.3, -1.2, 4.5, 2.2, 2.2, 0.0])
     assert not s.array.flags.writeable
     assert s == SortedSample(s.values) and hash(s) == hash(SortedSample(s.values))
     copied = pickle.loads(pickle.dumps(s))
@@ -507,6 +536,15 @@ def test_asymp_median_arithmetic():
     assert iv.lo == pytest.approx(1.5 - half, rel=1e-14)
     assert iv.hi == pytest.approx(1.5 + half, rel=1e-14)
     assert iv.closed_hi
+
+
+def test_asymp_median_refuses_an_end_past_the_float_range_without_a_warning():
+    # The density estimate is positive and finite, the lower end median - half
+    # overflows; the suite turns a numpy RuntimeWarning into an error.
+    s = make_sample([-1e308, -0.0, -1.5e308])
+    assert 0.0 < kde_at_median(s) < math.inf
+    with pytest.raises(UnsupportedSizeError, match="outside the float range"):
+        cr_asymp_median(s, 0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -226,13 +226,14 @@ def test_cr_explain_builds_the_selection_once(datafile, capsys, monkeypatch, fmt
 def test_cr_closed_stdout_exits_quietly(datafile):
     # The reader closes the pipe before the command writes, as `cr | head -c 5`
     # can; the command must exit nonzero without a traceback.
-    proc = subprocess.Popen(
+    # Leaving the with block closes the stderr pipe too.
+    with subprocess.Popen(
         [sys.executable, "-m", "mediancr.cli", "cr", "--input", datafile, "--methods", "3"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
-    )
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == EXIT_PIPE
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_PIPE
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
@@ -272,14 +273,14 @@ def test_module_entry_writes_what_main_writes(tmp_path, monkeypatch, capsys, cod
     # `python -m mediancr.cli` runs `run`, which freezes the collector after
     # main returns; the process must still flush and exit as main decided.
     (tmp_path / "obs.txt").write_text(" ".join(str(v) for v in DATA) + "\n")
-    proc = subprocess.Popen([sys.executable, "-m", "mediancr.cli", *argv], cwd=tmp_path,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
-    if code == EXIT_PIPE:
-        proc.stdout.close()
-        out, err = b"", proc.stderr.read()
-    else:
-        out, err = proc.communicate(timeout=60)
-    assert proc.wait(timeout=60) == code
+    with subprocess.Popen([sys.executable, "-m", "mediancr.cli", *argv], cwd=tmp_path,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
+        if code == EXIT_PIPE:
+            proc.stdout.close()
+            out, err = b"", proc.stderr.read()
+        else:
+            out, err = proc.communicate(timeout=60)
+        assert proc.wait(timeout=60) == code
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("MEDIANCR_SEED", raising=False)

@@ -531,6 +531,30 @@ def test_sample_determinism_and_stream_separation():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("dist", [normal(0.0, 1e308), normal_mixture(0.5, 0.0, 1e308, 0.0, 1.0),
+                                  uniform(-1.7e308, 1.7e308), cauchy(0.0, 1e308)])
+def test_a_draw_beyond_the_float_range_is_refused_without_a_warning(dist):
+    # Runs under the suite's error::RuntimeWarning filter, so a numpy overflow
+    # warning that escapes fails here.  Seed 7 overflows on every law above.
+    rng = RngStream(7, ("over",))
+    with pytest.raises(UnsupportedSizeError, match="outside the float range"):
+        sample(dist, 40, rng)
+    # The variates sample refuses are the quantiles' IEEE values, inf included.
+    with np.errstate(over="ignore"):
+        x = fresh_sample(dist, 40, rng)
+    assert np.isinf(x).any() and not np.isnan(x).any()
+    assert dist.quantile(1 - 2.0 ** -53) == math.inf
+    assert np.isinf(dist.quantile(np.array([2.0 ** -53, 0.5, 1 - 2.0 ** -53]))).any()
+
+
+def test_sample_bytes_of_ordinary_laws_are_the_draw_of_their_quantiles():
+    # sample refuses only what overflows: on an ordinary law it returns the
+    # quantiles of the stream's uniforms, byte for byte.
+    for dist in study_distributions().values():
+        rng = RngStream(3, ("ordinary", dist.label))
+        assert sample(dist, 25, rng).tobytes() == fresh_sample(dist, 25, rng).tobytes()
+
+
 def fresh_sample(dist, n, rng):
     """Oracle: ``sample`` on a generator of its own, built by ``generator()``."""
     gen = rng.generator()

@@ -27,6 +27,7 @@ from mediancr.distributions import (
 from mediancr.errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from mediancr.methods import ALL_METHOD_IDS, METHODS, compute_region
 from mediancr.regions import Region, make_sample
+from mediancr import simulate
 from mediancr.simulate import (
     _BLOCK,
     CSV_HEADER,
@@ -227,16 +228,24 @@ def test_coverage_and_content_recomputed_from_replicates():
         assert row[tied.label, n, 13].infinite_count == 5 - row[tied.label, n, 13].failures
         assert row[wide.label, n, 1].failures == row[wide.label, n, 6].failures == 5
     assert (row[tied.label, 10, 12].failures, row[tied.label, 11, 12].failures) == (5, 4)
+    # Five replications are a short block, which replicate evaluates; nine
+    # are a block for the batch forms.
+    cfg = small_config(distributions=cfg.distributions, sample_sizes=(10, 11), reps=9,
+                       master_seed=3)
+    assert [repr(astuple(r)) for r in run_simulation(cfg)] == [
+        repr(astuple(r)) for r in oracle_rows(cfg)]
 
 
 def test_draw_beyond_the_float_range_is_a_failure_of_every_method():
     # About half the normal(0, 1e308) variates overflow to +-inf.
     dist = normal(0.0, 1e308)
     cfg = small_config(distributions=(dist,), sample_sizes=(10,), reps=12, methods=(3, 7, 10))
-    with np.errstate(over="ignore"):
-        overflowed = sum(
-            not np.isfinite(sample(dist, 10, RngStream(7, (dist.label, 10, rep)).child("data"))).all()
-            for rep in range(12))
+    overflowed = 0
+    for rep in range(12):
+        try:
+            sample(dist, 10, RngStream(7, (dist.label, 10, rep)).child("data"))
+        except UnsupportedSizeError:
+            overflowed += 1
     assert 0 < overflowed < 12
     assert [r.failures for r in run_simulation(cfg)] == [overflowed] * 3
 
@@ -342,37 +351,35 @@ BATCHED = [m for m in ALL_METHOD_IDS if METHODS[m].rows is not None]
 # to ties, and mixed rows whose bandwidth is subnormal while their sd is not.
 MANTISSA = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), st.floats(-1.75, 1.75))
 SCALE = st.sampled_from([1.0, 1e308, 2.0 ** -1040, 2.0 ** -1072])
+# Spacings that are equal, or within RATIO_TIE_RTOL of each other, give method
+# 12 ratio groups of two or more counts wherever the binomial masses agree.
+GAP = st.sampled_from([1.0, 1.0 + 2.0 ** -40, 1.0 + 1e-12, 2.0, 0.0])
 
 
 def sample_row(n):
     one_scale = st.builds(lambda m, c: [v * c for v in m],
                           st.lists(MANTISSA, min_size=n, max_size=n), SCALE)
     mixed = st.lists(st.builds(lambda m, c: m * c, MANTISSA, SCALE), min_size=n, max_size=n)
-    return st.one_of(one_scale, mixed).map(make_sample)
+    # Partial sums of at most 79 spacings of at most 2, scaled by 2**-8 so none overflows.
+    steps = st.builds(lambda g, c: np.cumsum([0.0, *g]) / 256 * c,
+                      st.lists(GAP, min_size=n - 1, max_size=n - 1), SCALE)
+    return st.one_of(one_scale, mixed, steps).map(make_sample)
 
 
-def test_methods_1_and_4_to_9_have_batch_forms():
+def test_methods_1_2_and_4_to_12_have_batch_forms():
     # The benchmark's traced gate reads spans of methods 3 and 13 under replicate.
-    assert BATCHED == [1, 4, 5, 6, 7, 8, 9]
+    assert BATCHED == [1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12]
 
 
-@pytest.mark.parametrize("method", BATCHED)
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(3, 12), reps=st.integers(1, 4), breps=st.integers(1, 30),
-       alpha=st.sampled_from([0.05, 0.3, 0.9, 1e-17]))
-def test_batch_form_equals_the_scalar_form_row_by_row(method, data, n, reps, breps, alpha):
-    samples = tuple(data.draw(sample_row(n)) for _ in range(reps))
-    # Region ends are order statistics, so a target on one tests their closure.
-    target = data.draw(st.sampled_from([0.0, samples[0].median, *samples[0].values]))
-    rngs = [RngStream(11, ("rows", i)) for i in range(reps)]
+def batch_and_scalar(method, samples, alpha, target, breps, rngs):
+    """``_batch_outcomes`` on the rows, and each row's outcome from ``compute_region`` alone."""
     info = METHODS[method]
     medians = None
     if info.needs_bootstrap:
         medians = bootstrap_median_rows(samples, breps, [rng.child("boot") for rng in rngs])
-    rows = SampleRows(samples, medians)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClampedProbabilityWarning)
-        got = _batch_outcomes(method, rows, alpha, target, breps, rngs)
+        got = _batch_outcomes(method, SampleRows(samples, medians), alpha, target, breps, rngs)
         want = []
         for s, rng in zip(samples, rngs):
             boot = bootstrap_medians(s, breps, rng.child("boot")) if info.needs_bootstrap else None
@@ -384,18 +391,99 @@ def test_batch_form_equals_the_scalar_form_row_by_row(method, data, n, reps, bre
                 want.append(None)
             else:
                 want.append((region.contains(target), region.content))
-    assert [repr(o) for o in got] == [repr(o) for o in want]
+    # repr tells every float apart, -0.0 too.
+    return [repr(o) for o in got], [repr(o) for o in want]
+
+
+# Sizes 3-5 hold infeasible levels, 63 and up need Python-int masses; alpha
+# 0.25 and 0.5 are dyadic, so their target masses are integers; blocks of 1-9
+# rows straddle the short-block length.
+@pytest.mark.parametrize("method", BATCHED)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.one_of(st.integers(3, 12), st.sampled_from([63, 64, 80])),
+       reps=st.integers(1, 9), breps=st.integers(1, 30), seed=st.integers(0, 2 ** 16),
+       alpha=st.sampled_from([0.05, 0.3, 0.9, 1e-17, 0.25, 0.5]))
+def test_batch_form_equals_the_scalar_form_row_by_row(method, data, n, reps, breps, seed, alpha):
+    samples = tuple(data.draw(sample_row(n)) for _ in range(reps))
+    # Region ends are order statistics, so a target on one tests their closure.
+    target = data.draw(st.sampled_from([0.0, samples[0].median, *samples[0].values]))
+    rngs = [RngStream(seed, ("rows", i)) for i in range(reps)]
+    got, want = batch_and_scalar(method, samples, alpha, target, breps, rngs)
+    assert got == want
 
 
 @pytest.mark.parametrize("method", BATCHED)
 def test_batch_form_decides_ordinary_rows_itself(method):
     # Off rows fall back to the scalar form, so equal outputs alone would not
-    # show that the batch form runs; on normal data it decides every row.
+    # show that the batch form runs; on normal data it decides every row, at
+    # n = 70 too, where method 12's masses are Python ints.
     rngs = [RngStream(5, ("rows", i)) for i in range(8)]
-    samples = tuple(draw(normal(), 11, rng) for rng in rngs)
-    medians = bootstrap_median_rows(samples, 50, [rng.child("boot") for rng in rngs])
-    off = METHODS[method].rows(SampleRows(samples, medians), 0.05, 0.0)[0]
-    assert not any(off)
+    u = np.array([rng.child("rand", method).uniform() for rng in rngs])
+    for n in (11, 70):
+        samples = tuple(draw(normal(), n, rng) for rng in rngs)
+        medians = bootstrap_median_rows(samples, 50, [rng.child("boot") for rng in rngs])
+        off = METHODS[method].rows(SampleRows(samples, medians), 0.05, 0.0, u)[0]
+        assert not any(off)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25])
+def test_method_12_leaves_rows_with_a_ratio_group_to_the_scalar_form(alpha):
+    # Equal spacings give equal ratios to the counts k and n - k; spacings
+    # within RATIO_TIE_RTOL group as well.  Those rows, and the tied one, are
+    # off; the plain row is decided by the batch form.
+    n = 9
+    plain = np.cumsum(np.arange(1.0, n + 1.0) ** 1.5)
+    even = np.arange(float(n))
+    near = np.cumsum([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 1.0 + 1e-10])
+    tied = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    samples = tuple(make_sample(x) for x in (plain, even, near, tied))
+    rngs = [RngStream(2, ("rows", i)) for i in range(4)]
+    u = np.array([rng.child("rand", 12).uniform() for rng in rngs])
+    off = METHODS[12].rows(SampleRows(samples), alpha, 10.0, u)[0]
+    assert off == [False, True, True, True]
+    got, want = batch_and_scalar(12, samples, alpha, 10.0, 1, rngs)
+    assert got == want
+
+
+def test_method_12_is_off_where_no_mass_crosses_the_target():
+    # At n = 4 the interior counts hold 14/16 of the mass: alpha 0.125 is met
+    # exactly by all of them, alpha 0.05 is infeasible.  Both go to the scalar
+    # form, which gives the region and the failure.
+    samples = tuple(make_sample([0.0, 1.0, 3.0, 6.0 + i]) for i in range(3))
+    rngs = [RngStream(4, ("rows", i)) for i in range(3)]
+    u = np.array([rng.child("rand", 12).uniform() for rng in rngs])
+    for alpha, outcome in ((0.125, (True, 6.0)), (0.05, None)):
+        assert METHODS[12].rows(SampleRows(samples), alpha, 2.0, u)[0] == [True] * 3
+        got, want = batch_and_scalar(12, samples, alpha, 2.0, 1, rngs)
+        assert got == want
+        assert want[0] == repr(outcome)
+
+
+def test_method_12_meets_an_integer_target_mass_without_a_tie_group():
+    # n = 4, alpha = 1/2: the target mass is 8 of 16.  The ratios rank the
+    # counts 1, 3, 2, so counts 1 and 3 (mass 4 + 4) meet it exactly and
+    # count 2 is not randomized in, whatever u: the region is
+    # [x_(1), x_(2)) + [x_(3), x_(4)), of content 1 + 1.5.
+    samples = (make_sample([0.0, 1.0, 11.0, 12.5]),) * 8
+    rngs = [RngStream(6, ("rows", i)) for i in range(8)]
+    u = np.array([rng.child("rand", 12).uniform() for rng in rngs])
+    off, covered, content = METHODS[12].rows(SampleRows(samples), 0.5, 5.0, u)
+    assert off == [False] * 8 and covered == [False] * 8 and content == [2.5] * 8
+    got, want = batch_and_scalar(12, samples, 0.5, 5.0, 1, rngs)
+    assert got == want
+
+
+def test_a_short_block_runs_every_method_through_replicate(monkeypatch):
+    # Seven replications are one short block: the batch forms never run, and
+    # the rows are the oracle's.  Eight are a block for the batch forms.
+    blocks = []
+    monkeypatch.setattr(simulate, "_run_block", lambda methods, block, *_: blocks.append(len(block)))
+    cfg = small_config(distributions=(normal(),), sample_sizes=(10,), reps=7)
+    assert [repr(astuple(r)) for r in run_simulation(cfg)] == [
+        repr(astuple(r)) for r in oracle_rows(cfg)]
+    assert blocks == []
+    run_simulation(small_config(distributions=(normal(),), sample_sizes=(10,), reps=8))
+    assert blocks == [8]
 
 
 def _cell_peak(n: int, reps: int, breps: int) -> int:
