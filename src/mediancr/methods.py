@@ -14,7 +14,7 @@ The numbering is the one used throughout the CLI and the simulation output:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,8 +53,8 @@ class MethodInfo:
     ``region(sample, alpha, u, boot)`` builds the region.  A randomized method
     also carries ``selection(sample, alpha)``, the count selection that its
     region realizes for the draw u.  A batch form ``rows(rows, alpha, target,
-    u)`` over a ``SampleRows``, with one uniform per row in the array ``u``
-    for a randomized method and None otherwise, gives three lists: whether
+    u)`` over a ``SampleRows``, with one uniform per row in ``u`` for a
+    randomized method and None otherwise, gives three lists: whether
     each row is off (left to ``region``), covers target, and its content, as
     ``region`` gives them.  Every callable reaches its procedure through a
     name looked up at call time, so rebinding that module attribute (as a
@@ -66,7 +66,7 @@ class MethodInfo:
     region: Callable[[SortedSample, float, float | None, BootstrapDistribution | None], Region]
     selection: Callable[[SortedSample, float], Gamma0Selection] | None = None
     boot_variant: str | None = None
-    rows: Callable[[SampleRows, float, float, np.ndarray | None], tuple[list, ...]] | None = None
+    rows: Callable[[SampleRows, float, float, Sequence[float] | None], tuple[list, ...]] | None = None
 
     @property
     def randomized(self) -> bool:

@@ -29,13 +29,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from .distributions import binom_counts
 from .errors import InfeasibleLevelError, UnsupportedSizeError
-from .regions import Region, SortedSample, count_runs, region_from_gamma0
+from .regions import Region, SortedSample, region_from_gamma0
 from .spacings import FIXED_PROFILES, RATIO_TIE_RTOL, LkProfile, lk_edf, lk_mom, lk_mom_ratio_rows
 
 if TYPE_CHECKING:
@@ -108,10 +108,25 @@ def _target(n: int, alpha: float) -> tuple[Fraction, int]:
     return target, math.floor(target)
 
 
-def _gamma(target: Fraction, cum: int, tie_mass: int) -> float:
-    """(target - cum) / tie_mass, correctly rounded: one division of integers."""
+def _crossing(target: Fraction, floor_target: int, cum: int,
+              mass: int) -> tuple[bool, float] | None:
+    """How a group of binomial ``mass`` enters after the admitted mass ``cum``.
+
+    Masses are counts over 2**n and ``target, floor_target`` is ``_target(n,
+    alpha)``.  None while cum + mass stays within the target: the group is
+    admitted whole.  Otherwise it is the tie group, and the result is
+    (randomized, gamma): gamma = (target - cum) / mass, correctly rounded as
+    one division of integers, or (False, 0.0) at a natural confidence
+    coefficient, where cum meets the target alone and the group stays out.
+    """
+    # cum + mass is an integer, so it exceeds target exactly when it exceeds
+    # floor(target); cum itself never does.
+    if cum + mass <= floor_target:
+        return None
     num, den = target.numerator, target.denominator
-    return (num - cum * den) / (den * tie_mass)
+    if cum * den == num:
+        return False, 0.0
+    return True, (num - cum * den) / (den * mass)
 
 
 def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
@@ -139,15 +154,13 @@ def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
     scale = 1 << n
     target, floor_target = _target(n, alpha)
     included, cum = [], 0
-    tie_ratio, tie_ks = 0.0, []
+    tie_ratio, tie_ks, gamma = 0.0, [], 0.0
     for ratio, ks in _ratio_groups(profile):
         mass = sum(map(counts.__getitem__, ks))
-        # cum + mass is an integer, so it exceeds target exactly when it
-        # exceeds floor(target).
-        if cum + mass > floor_target:
-            # At a natural confidence coefficient the admitted mass alone is
-            # exact and the tie set stays empty.
-            tie_ratio, tie_ks = ratio, (ks if cum < target else [])
+        crossing = _crossing(target, floor_target, cum, mass)
+        if crossing:
+            randomized, gamma = crossing
+            tie_ratio, tie_ks = ratio, (ks if randomized else [])
             break
         included += ks
         cum += mass
@@ -161,7 +174,7 @@ def select_gamma0(profile: LkProfile, alpha: float) -> Gamma0Selection:
     return Gamma0Selection(
         n=n, alpha=alpha,
         included=frozenset(included), tie_set=frozenset(tie_ks),
-        c=tie_ratio, gamma=_gamma(target, cum, tie_mass) if tie_ks else 0.0,
+        c=tie_ratio, gamma=gamma,
         p_included=cum / scale, p_tie=tie_mass / scale,
     )
 
@@ -241,56 +254,31 @@ def adaptive_edf_selection(sample: SortedSample, alpha: float) -> Gamma0Selectio
 
 
 def fixed_selection_rows(name: str, rows: SampleRows, alpha: float, target: float,
-                         u: np.ndarray) -> tuple[list, ...]:
-    """``assemble_region`` of ``_fixed_selection(name, n, alpha)`` on every row.
-
-    A row covers target when its count #{x_i <= target} is admitted.  Its
-    content adds x_(b+1) - x_(a) over the admitted runs (``count_runs``) in
-    ascending order from 0.0, once with the tie group and once without; each
-    row takes the one its u picks.  A row with tied values is off: there a
-    piece may vanish or merge with the next.
-    """
-    x = rows.x
-    n = x.shape[1]
-    sel = _fixed_selection(name, n, alpha)
-    count = (x <= target).sum(axis=1)
-    # x_(0) .. x_(n+1) with both sentinels, row by row.
-    inf = np.full((len(x), 1), math.inf)
-    ends = np.concatenate((-inf, x, inf), axis=1)
-    outcomes = []
-    for ks in (sel.included, sel.included | sel.tie_set):
-        admitted = np.zeros(n + 1, dtype=bool)
-        admitted[list(ks)] = True
-        content = np.zeros(len(x))
-        with np.errstate(over="ignore"):
-            for a, b in count_runs(sorted(ks)):
-                content += ends[:, b] - ends[:, a]
-        outcomes.append((admitted[count], content))
-    (covered, content), (covered_tie, content_tie) = outcomes
-    tie = u <= sel.gamma
-    off = (x[:, 1:] == x[:, :-1]).any(axis=1)
-    return (off.tolist(), np.where(tie, covered_tie, covered).tolist(),
-            np.where(tie, content_tie, content).tolist())
+                         u: Sequence[float]) -> tuple[list, ...]:
+    """``assemble_region`` of ``_fixed_selection(name, n, alpha)`` on every row; no row is off."""
+    sel = _fixed_selection(name, rows.x.shape[1], alpha)
+    regions = [assemble_region(s, sel, ui) for s, ui in zip(rows.samples, u)]
+    return [False] * len(regions), [r.contains(target) for r in regions], [r.content for r in regions]
 
 
 def adaptive_mom_rows(rows: SampleRows, alpha: float, target: float,
-                      u: np.ndarray) -> tuple[list, ...]:
+                      u: Sequence[float]) -> tuple[list, ...]:
     """``assemble_region`` of ``adaptive_mom_selection`` on every row.
 
     ``select_gamma0`` runs on every row's ``lk_mom`` profile at once, where
-    each ratio group is a single count: a stable argsort of the ratios, exact
-    integer cumulative masses (int64 while 2**n fits, Python ints above) and
-    gamma from ``_gamma``.  A row is off where it has tied values or a ratio
-    that is not finite and positive, where two neighbouring sorted ratios are
-    equal or within RATIO_TIE_RTOL (a group of two or more counts), and where
-    no count's cumulative mass crosses the target (an infeasible level, or
-    one met exactly by every count).
+    each ratio group is a single count: a stable argsort of the ratios and
+    exact integer cumulative masses (int64 while 2**n fits, Python ints
+    above) locate the first count that ``_crossing`` does not admit whole,
+    and ``_crossing`` decides it.  A row is off where it has tied values or a
+    ratio that is not finite and positive, where two neighbouring sorted
+    ratios are equal or within RATIO_TIE_RTOL (a group of two or more
+    counts), and where no count's cumulative mass crosses the target (an
+    infeasible level, or one met exactly by every count).
     """
     x = rows.x
     n = x.shape[1]
     counts = binom_counts(n)
-    mass_target, floor_target = _target(n, alpha)
-    num, den = mass_target.numerator, mass_target.denominator
+    target_mass, floor_target = _target(n, alpha)
     # The interior counts 1..n-1: the boundary ones have ratio 0 and never enter.
     ratio = lk_mom_ratio_rows(x)[:, 1:n]
     order = np.argsort(-ratio, axis=1, kind="stable")
@@ -300,6 +288,7 @@ def adaptive_mom_rows(rows: SampleRows, alpha: float, target: float,
         off |= (r[:, :-1] - r[:, 1:] <= RATIO_TIE_RTOL * r[:, :-1]).any(axis=1)
     mass = np.array(counts[1:n], dtype=np.int64 if n < 63 else object)[order]
     cum = np.cumsum(mass, axis=1)
+    # Where the cumulative mass first exceeds floor(target), as in _crossing.
     over = cum > floor_target
     off |= ~over[:, -1]
     tie_at = over.argmax(axis=1)
@@ -307,9 +296,8 @@ def adaptive_mom_rows(rows: SampleRows, alpha: float, target: float,
     for i in np.flatnonzero(~off).tolist():
         j = int(tie_at[i])
         cum_in = int(cum[i, j - 1]) if j else 0
-        # cum_in < mass_target, in integers.  At a natural confidence
-        # coefficient the admitted mass alone is exact, and no count is tied.
-        if cum_in * den < num and u[i] <= _gamma(mass_target, cum_in, int(mass[i, j])):
+        randomized, gamma = _crossing(target_mass, floor_target, cum_in, int(mass[i, j]))
+        if randomized and u[i] <= gamma:
             j += 1
         region = region_from_gamma0(rows.samples[i], (order[i, :j] + 1).tolist())
         covered[i], content[i] = region.contains(target), region.content

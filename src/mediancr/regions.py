@@ -23,7 +23,6 @@ __all__ = [
     "midpoint",
     "Interval",
     "Region",
-    "count_runs",
     "region_from_gamma0",
     "json_float",
 ]
@@ -165,33 +164,13 @@ class Region:
                 for iv in self.intervals]
 
 
-def count_runs(ks: Iterable[int]) -> list[tuple[int, int]]:
-    """The maximal runs of consecutive counts in ascending ``ks``, each as (a, b + 1) for a..b.
-
-    A point is in the run a..b exactly when a <= #{x_i <= point} <= b, that is
-    on the piece [x_(a), x_(b+1)) of order statistics, with x_(0) = -inf and
-    x_(n+1) = +inf; so (a, b + 1) are the indices of the piece's ends.
-    """
-    runs: list[tuple[int, int]] = []
-    a = b = None  # the current run is a..b-1
-    for k in ks:
-        if k != b:
-            if a is not None:
-                runs.append((a, b))
-            a = k
-        b = k + 1
-    if a is not None:
-        runs.append((a, b))
-    return runs
-
-
 def region_from_gamma0(sample: SortedSample, k_set: Iterable[int]) -> Region:
     """Region whose membership indicator is {count of x_i <= point} in k_set.
 
-    Each run of consecutive admitted counts is one piece (``count_runs``).
-    k = 0 opens the region at -inf and k = n closes it at +inf.  With tied
-    observations, zero-width pieces vanish and abutting pieces merge, so the
-    invariants still hold.
+    Each admitted count k contributes the spacing [x_(k), x_(k+1)); runs of
+    consecutive counts merge into one interval.  k = 0 opens the region at
+    -inf and k = n closes it at +inf.  With tied observations, zero-width
+    pieces vanish and abutting pieces merge, so the invariants still hold.
     """
     n = sample.n
     ks = sorted({int(k) for k in k_set})
@@ -200,8 +179,13 @@ def region_from_gamma0(sample: SortedSample, k_set: Iterable[int]) -> Region:
     # x[k] is the k-th order statistic with both sentinels, as order_stat(k).
     x = (-math.inf, *sample.values, math.inf)
     intervals: list[Interval] = []
-    for a, b in count_runs(ks):
-        lo, hi = x[a], x[b]
+    last = len(ks) - 1
+    start = 0
+    for i, k in enumerate(ks):
+        if i < last and ks[i + 1] == k + 1:
+            continue
+        lo, hi = x[ks[start]], x[k + 1]
+        start = i + 1
         if lo < hi:
             if intervals and intervals[-1].hi == lo:
                 intervals[-1] = Interval(intervals[-1].lo, hi)

@@ -14,14 +14,12 @@ each method's region for one sample.  The other methods run once per block
 through their batch forms (``MethodInfo.rows``): 1, 2 and 4 over the samples
 as matrix rows, 5-9 over one (block, breps) matrix of sorted bootstrap
 medians, and 10-12 from their count selections, with each row's uniform
-drawn as ``replicate`` draws it.  A block of fewer than ``_MIN_ROWS``
-replications, where numpy does not pay, runs every method through
-``replicate``.  A row off the plain path (overflow, a refused density, tied
-values; for method 12 also a ratio group of two or more counts, or no count
-whose mass crosses the level) goes to ``replicate``, and the contents are
-added in replication order: the CSV bytes are those of ``replicate`` on
-every replication, which stays the tests' oracle.  Memory does not grow with
-the number of replications.
+drawn as ``replicate`` draws it.  A row off the plain path (overflow, a
+refused density; for method 12 also tied values, a ratio group of two or
+more counts, or no count whose mass crosses the level) goes to
+``replicate``, and the contents are added in replication order: the CSV
+bytes are those of ``replicate`` on every replication, which stays the
+tests' oracle.  Memory does not grow with the number of replications.
 
 Infinite-content regions (possible for the sign region at small n and for
 the plug-in adaptive region) still count toward coverage but are excluded
@@ -35,8 +33,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .classical import (
     ClampedProbabilityWarning,
@@ -111,9 +107,6 @@ CSV_HEADER = ",".join(f.name for f in fields(SimResult))
 # Replications that the batch forms evaluate together.  A block's bootstrap
 # medians, not the cell's, are alive at once: 64 x breps 2000 is 1 MB.
 _BLOCK = 64
-# A block of fewer replications is evaluated one replication at a time: on
-# 2 rows a batch form's numpy calls cost more than the scalar forms.
-_MIN_ROWS = 8
 
 
 @dataclass
@@ -178,7 +171,7 @@ def _batch_outcomes(m: int, rows: SampleRows, alpha: float, target: float, breps
     """Method m's outcome on every row from its batch form; an off row takes ``replicate``."""
     info = METHODS[m]
     # Each row's uniform, drawn as replicate draws it.
-    u = np.array([rng.child("rand", m).uniform() for rng in rngs]) if info.randomized else None
+    u = [rng.child("rand", m).uniform() for rng in rngs] if info.randomized else None
     try:
         off, covered, content = info.rows(rows, alpha, target, u)
     except _FAILURES:
@@ -211,11 +204,8 @@ def _run_cell(args) -> list[SimResult]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClampedProbabilityWarning)
         for start in range(0, config.reps, _BLOCK):
-            reps = range(start, min(start + _BLOCK, config.reps))
-            # On a short block numpy does not pay: every method takes replicate.
-            short = len(reps) < _MIN_ROWS
             block = []
-            for rep in reps:
+            for rep in range(start, min(start + _BLOCK, config.reps)):
                 rng = RngStream(config.master_seed, (dist.label, n, rep))
                 try:
                     s = draw(dist, n, rng)
@@ -224,10 +214,9 @@ def _run_cell(args) -> list[SimResult]:
                         t.add(None)
                     continue
                 block.append((s, rng))
-                for m, region in replicate(s, alpha, config.methods if short else single,
-                                           breps, rng).items():
+                for m, region in replicate(s, alpha, single, breps, rng).items():
                     tallies[m].add(_outcome(region, target))
-            if batched and block and not short:
+            if batched and block:
                 _run_block(batched, block, alpha, target, breps, tallies)
     out = []
     for m, t in tallies.items():

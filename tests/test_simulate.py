@@ -27,7 +27,6 @@ from mediancr.distributions import (
 from mediancr.errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from mediancr.methods import ALL_METHOD_IDS, METHODS, compute_region
 from mediancr.regions import Region, make_sample
-from mediancr import simulate
 from mediancr.simulate import (
     _BLOCK,
     CSV_HEADER,
@@ -228,12 +227,6 @@ def test_coverage_and_content_recomputed_from_replicates():
         assert row[tied.label, n, 13].infinite_count == 5 - row[tied.label, n, 13].failures
         assert row[wide.label, n, 1].failures == row[wide.label, n, 6].failures == 5
     assert (row[tied.label, 10, 12].failures, row[tied.label, 11, 12].failures) == (5, 4)
-    # Five replications are a short block, which replicate evaluates; nine
-    # are a block for the batch forms.
-    cfg = small_config(distributions=cfg.distributions, sample_sizes=(10, 11), reps=9,
-                       master_seed=3)
-    assert [repr(astuple(r)) for r in run_simulation(cfg)] == [
-        repr(astuple(r)) for r in oracle_rows(cfg)]
 
 
 def test_draw_beyond_the_float_range_is_a_failure_of_every_method():
@@ -396,8 +389,7 @@ def batch_and_scalar(method, samples, alpha, target, breps, rngs):
 
 
 # Sizes 3-5 hold infeasible levels, 63 and up need Python-int masses; alpha
-# 0.25 and 0.5 are dyadic, so their target masses are integers; blocks of 1-9
-# rows straddle the short-block length.
+# 0.25 and 0.5 are dyadic, so their target masses are integers.
 @pytest.mark.parametrize("method", BATCHED)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.one_of(st.integers(3, 12), st.sampled_from([63, 64, 80])),
@@ -471,19 +463,6 @@ def test_method_12_meets_an_integer_target_mass_without_a_tie_group():
     assert off == [False] * 8 and covered == [False] * 8 and content == [2.5] * 8
     got, want = batch_and_scalar(12, samples, 0.5, 5.0, 1, rngs)
     assert got == want
-
-
-def test_a_short_block_runs_every_method_through_replicate(monkeypatch):
-    # Seven replications are one short block: the batch forms never run, and
-    # the rows are the oracle's.  Eight are a block for the batch forms.
-    blocks = []
-    monkeypatch.setattr(simulate, "_run_block", lambda methods, block, *_: blocks.append(len(block)))
-    cfg = small_config(distributions=(normal(),), sample_sizes=(10,), reps=7)
-    assert [repr(astuple(r)) for r in run_simulation(cfg)] == [
-        repr(astuple(r)) for r in oracle_rows(cfg)]
-    assert blocks == []
-    run_simulation(small_config(distributions=(normal(),), sample_sizes=(10,), reps=8))
-    assert blocks == [8]
 
 
 def _cell_peak(n: int, reps: int, breps: int) -> int:
