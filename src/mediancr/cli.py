@@ -212,17 +212,21 @@ def _cmd_simulate(args) -> int:
         workers=args.workers,
     )
 
-    results = run_simulation(config)
-    csv_text = results_to_csv(results)
     if args.out == "-":
-        sys.stdout.write(csv_text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        print(
-            f"wrote {len(results)} rows ({len(config.distributions)} distributions x "
-            f"{len(config.sample_sizes)} sizes x {len(config.methods)} methods) to {args.out}"
-        )
+        sys.stdout.write(results_to_csv(run_simulation(config)))
+        return EXIT_OK
+    # Opened before the grid runs, so a path that cannot be written costs no replication.
+    try:
+        fh = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc}") from None
+    with fh:
+        results = run_simulation(config)
+        fh.write(results_to_csv(results))
+    print(
+        f"wrote {len(results)} rows ({len(config.distributions)} distributions x "
+        f"{len(config.sample_sizes)} sizes x {len(config.methods)} methods) to {args.out}"
+    )
     return EXIT_OK
 
 

@@ -38,7 +38,6 @@ from .optimal import (
     adaptive_mom_selection,
     assemble_region,
     exponential_selection,
-    fixed_selection_rows,
     symmetric_selection,
 )
 from .regions import Region, SortedSample
@@ -119,10 +118,8 @@ METHODS: dict[int, MethodInfo] = {info.method_id: info for info in (
     _bootstrap(7, "boot_percentile", "percentile"),
     _bootstrap(8, "boot_bc", "bc"),
     _bootstrap(9, "boot_bca", "bca"),
-    _randomized(10, "rand_uniform_profile", lambda s, a: symmetric_selection(s, a),
-                lambda r, a, t, u: fixed_selection_rows("uniform", r, a, t, u)),
-    _randomized(11, "rand_exponential_profile", lambda s, a: exponential_selection(s, a),
-                lambda r, a, t, u: fixed_selection_rows("exponential", r, a, t, u)),
+    _randomized(10, "rand_uniform_profile", lambda s, a: symmetric_selection(s, a)),
+    _randomized(11, "rand_exponential_profile", lambda s, a: exponential_selection(s, a)),
     _randomized(12, "rand_adaptive_spacings", lambda s, a: adaptive_mom_selection(s, a),
                 lambda r, a, t, u: adaptive_mom_rows(r, a, t, u)),
     _randomized(13, "rand_adaptive_plugin", lambda s, a: adaptive_edf_selection(s, a)),

@@ -19,8 +19,9 @@ that estimate the profile from the observed sample.  ``assemble_region``
 realizes a selection for one uniform draw u; ``methods.METHODS`` pairs each
 builder with it.
 
-``fixed_selection_rows`` and ``adaptive_mom_rows`` are the batch forms of
-methods 10-12 over the rows of a block of samples.
+``adaptive_mom_rows`` is the batch form of method 12 over the rows of a
+block of samples.  Methods 10 and 11 have none: their selection is cached
+per (n, alpha), and ``assemble_region`` realizes it on one sample.
 """
 
 from __future__ import annotations
@@ -248,17 +249,9 @@ def adaptive_edf_selection(sample: SortedSample, alpha: float) -> Gamma0Selectio
 
 # -- batch forms -------------------------------------------------------------
 #
-# Methods 10-12 on the rows of a ``SampleRows``, one uniform u per row: three
+# Method 12 on the rows of a ``SampleRows``, one uniform u per row: three
 # lists, whether each row is off (left to the one-sample form), whether its
 # region covers target, and its content, as ``assemble_region`` gives them.
-
-
-def fixed_selection_rows(name: str, rows: SampleRows, alpha: float, target: float,
-                         u: Sequence[float]) -> tuple[list, ...]:
-    """``assemble_region`` of ``_fixed_selection(name, n, alpha)`` on every row; no row is off."""
-    sel = _fixed_selection(name, rows.x.shape[1], alpha)
-    regions = [assemble_region(s, sel, ui) for s, ui in zip(rows.samples, u)]
-    return [False] * len(regions), [r.contains(target) for r in regions], [r.content for r in regions]
 
 
 def adaptive_mom_rows(rows: SampleRows, alpha: float, target: float,

@@ -8,18 +8,19 @@ worker count, on which other methods run, or on the order of the
 distribution grid.
 
 A cell (one law, one n) draws its replications' samples (``draw``; a draw
-beyond the float range fails every method) in blocks of ``_BLOCK``.  Methods
-3 and 13 run one replication at a time through ``replicate``, which returns
-each method's region for one sample.  The other methods run once per block
-through their batch forms (``MethodInfo.rows``): 1, 2 and 4 over the samples
-as matrix rows, 5-9 over one (block, breps) matrix of sorted bootstrap
-medians, and 10-12 from their count selections, with each row's uniform
-drawn as ``replicate`` draws it.  A row off the plain path (overflow, a
-refused density; for method 12 also tied values, a ratio group of two or
-more counts, or no count whose mass crosses the level) goes to
-``replicate``, and the contents are added in replication order: the CSV
-bytes are those of ``replicate`` on every replication, which stays the
-tests' oracle.  Memory does not grow with the number of replications.
+beyond the float range fails every method) in blocks of ``_BLOCK``.  Each
+method with a batch form (``MethodInfo.rows``) runs it once per block: 1, 2
+and 4 over the samples as matrix rows, 5-9 over one (block, breps) matrix of
+sorted bootstrap medians, and 12 over each row's spacing ratios, drawing
+each row's uniform as ``replicate`` draws it.  Then one ``replicate`` call
+per replication, which returns each method's region for one sample, decides
+the methods left off on it: 3, 10, 11 and 13, which have no batch form, a
+form that refuses the whole block, and a row off the plain path (overflow,
+a refused density; for method 12 also tied values, a ratio group of two or
+more counts, or no count whose mass crosses the level).  Contents are added
+in replication order: the CSV bytes are those of ``replicate`` on every
+replication, which stays the tests' oracle.  Memory does not grow with the
+number of replications.
 
 Infinite-content regions (possible for the sign region at small n and for
 the plug-in adaptive region) still count toward coverage but are excluded
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
+from typing import Iterator
 
 from .classical import (
     ClampedProbabilityWarning,
@@ -166,39 +168,44 @@ def _outcome(region: Region | None, target: float) -> tuple[bool, float] | None:
     return None if region is None else (region.contains(target), region.content)
 
 
-def _batch_outcomes(m: int, rows: SampleRows, alpha: float, target: float, breps: int,
-                    rngs: tuple[RngStream, ...]) -> list[tuple[bool, float] | None]:
-    """Method m's outcome on every row from its batch form; an off row takes ``replicate``."""
+def _batch_form(m: int, rows: SampleRows, alpha: float, target: float,
+                rngs: tuple[RngStream, ...]) -> tuple[list, ...]:
+    """Method m's (off, covered, content) on the rows; every row is off without a batch form."""
     info = METHODS[m]
-    # Each row's uniform, drawn as replicate draws it.
-    u = [rng.child("rand", m).uniform() for rng in rngs] if info.randomized else None
-    try:
-        off, covered, content = info.rows(rows, alpha, target, u)
-    except _FAILURES:
-        # Refused for (n, alpha), as at an unattainable level: each row decides alone.
-        off = [True] * len(rngs)
-    return [_outcome(replicate(s, alpha, (m,), breps, rng)[m], target) if off[i]
-            else (covered[i], content[i]) for i, (s, rng) in enumerate(zip(rows.samples, rngs))]
+    if info.rows is not None:
+        # Each row's uniform, drawn as replicate draws it.
+        u = [rng.child("rand", m).uniform() for rng in rngs] if info.randomized else None
+        try:
+            return info.rows(rows, alpha, target, u)
+        except _FAILURES:
+            pass  # Refused for (n, alpha), as at an unattainable level: each row decides alone.
+    return [True] * len(rngs), None, None
 
 
-def _run_block(methods: list[int], block: list[tuple[SortedSample, RngStream]], alpha: float,
-               target: float, breps: int, tallies: dict[int, _Tally]) -> None:
-    """Tally each method's batch form on a block of drawn replications, in their order."""
+def _run_block(methods: tuple[int, ...], block: list[tuple[SortedSample, RngStream]],
+               alpha: float, target: float, breps: int) -> Iterator[dict[int, tuple[bool, float] | None]]:
+    """Each drawn replication's outcome per method, in replication order.
+
+    The batch forms decide the rows they can; one ``replicate`` call per
+    replication decides the methods left off on it, and none is made when no
+    method is left.
+    """
     samples, rngs = zip(*block)
     medians = None
     if any(METHODS[m].needs_bootstrap for m in methods):
         medians = bootstrap_median_rows(samples, breps, [rng.child("boot") for rng in rngs])
     rows = SampleRows(samples, medians)
-    for m in methods:
-        for outcome in _batch_outcomes(m, rows, alpha, target, breps, rngs):
-            tallies[m].add(outcome)
+    forms = {m: _batch_form(m, rows, alpha, target, rngs) for m in methods}
+    for i, (s, rng) in enumerate(zip(samples, rngs)):
+        left = tuple(m for m in methods if forms[m][0][i])
+        regions = replicate(s, alpha, left, breps, rng) if left else {}
+        yield {m: _outcome(regions[m], target) if m in regions else (covered[i], content[i])
+               for m, (_, covered, content) in forms.items()}
 
 
 def _run_cell(args) -> list[SimResult]:
     dist, n, config = args
-    alpha, breps, target = config.alpha, config.breps, dist.true_median()
-    single = tuple(m for m in config.methods if METHODS[m].rows is None)
-    batched = [m for m in config.methods if METHODS[m].rows is not None]
+    target = dist.true_median()
     tallies = {m: _Tally() for m in config.methods}
     # A clamped bootstrap probability is part of the method, not news for the CSV's reader.
     with warnings.catch_warnings():
@@ -208,16 +215,14 @@ def _run_cell(args) -> list[SimResult]:
             for rep in range(start, min(start + _BLOCK, config.reps)):
                 rng = RngStream(config.master_seed, (dist.label, n, rep))
                 try:
-                    s = draw(dist, n, rng)
+                    block.append((draw(dist, n, rng), rng))
                 except UnsupportedSizeError:
                     for t in tallies.values():
                         t.add(None)
-                    continue
-                block.append((s, rng))
-                for m, region in replicate(s, alpha, single, breps, rng).items():
-                    tallies[m].add(_outcome(region, target))
-            if batched and block:
-                _run_block(batched, block, alpha, target, breps, tallies)
+            if block:
+                for outcomes in _run_block(config.methods, block, config.alpha, target, config.breps):
+                    for m, outcome in outcomes.items():
+                        tallies[m].add(outcome)
     out = []
     for m, t in tallies.items():
         ok = config.reps - t.failures

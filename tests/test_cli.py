@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import mediancr
+from mediancr import simulate
 from mediancr.cli import (
     EXIT_DATA,
     EXIT_INFEASIBLE,
@@ -579,6 +580,17 @@ def test_simulate_stdout(capsys):
     out = capsys.readouterr().out
     assert out.startswith("method,dist,n,alpha,")
     assert len(out.strip().splitlines()) == 2
+
+
+def test_simulate_to_an_unwritable_path_exits_usage_before_any_replication(
+        tmp_path, capsys, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(simulate, "draw", lambda *args: drawn.append(args))
+    out = tmp_path / "absent" / "x.csv"
+    assert main(["simulate", "--dists", "normal", "--sizes", "10", "--reps", "3",
+                 "--methods", "3", "--seed", "0", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert drawn == []
 
 
 def test_simulate_counts_binomial_size_cap_as_failures(capsys):

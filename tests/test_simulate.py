@@ -25,6 +25,7 @@ from mediancr.distributions import (
     uniform,
 )
 from mediancr.errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
+from mediancr import simulate
 from mediancr.methods import ALL_METHOD_IDS, METHODS, compute_region
 from mediancr.regions import Region, make_sample
 from mediancr.simulate import (
@@ -32,7 +33,7 @@ from mediancr.simulate import (
     CSV_HEADER,
     SimConfig,
     SimResult,
-    _batch_outcomes,
+    _run_block,
     _run_cell,
     draw,
     replicate,
@@ -359,49 +360,77 @@ def sample_row(n):
     return st.one_of(one_scale, mixed, steps).map(make_sample)
 
 
-def test_methods_1_2_and_4_to_12_have_batch_forms():
-    # The benchmark's traced gate reads spans of methods 3 and 13 under replicate.
-    assert BATCHED == [1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+def test_methods_1_2_4_to_9_and_12_have_batch_forms():
+    # Methods 3, 10, 11 and 13 are decided by replicate, one replication at a time.
+    assert BATCHED == [1, 2, 4, 5, 6, 7, 8, 9, 12]
 
 
-def batch_and_scalar(method, samples, alpha, target, breps, rngs):
-    """``_batch_outcomes`` on the rows, and each row's outcome from ``compute_region`` alone."""
-    info = METHODS[method]
+def block_and_scalar(methods, samples, alpha, target, breps, rngs):
+    """``_run_block`` on the rows, and each row's outcome per method from ``compute_region``."""
     medians = None
-    if info.needs_bootstrap:
+    if any(METHODS[m].needs_bootstrap for m in methods):
         medians = bootstrap_median_rows(samples, breps, [rng.child("boot") for rng in rngs])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClampedProbabilityWarning)
-        got = _batch_outcomes(method, SampleRows(samples, medians), alpha, target, breps, rngs)
+        got = list(_run_block(methods, list(zip(samples, rngs)), alpha, target, breps))
         want = []
-        for s, rng in zip(samples, rngs):
-            boot = bootstrap_medians(s, breps, rng.child("boot")) if info.needs_bootstrap else None
-            assert boot is None or boot.medians.array.tobytes() == medians[len(want)].tobytes()
-            u = rng.child("rand", method).uniform() if info.randomized else None
-            try:
-                region = compute_region(method, s, alpha, u=u, boot=boot)
-            except (InfeasibleLevelError, DegenerateDataError, UnsupportedSizeError):
-                want.append(None)
-            else:
-                want.append((region.contains(target), region.content))
+        for i, (s, rng) in enumerate(zip(samples, rngs)):
+            boot = None if medians is None else bootstrap_medians(s, breps, rng.child("boot"))
+            assert boot is None or boot.medians.array.tobytes() == medians[i].tobytes()
+            row = {}
+            for m in methods:
+                u = rng.child("rand", m).uniform() if METHODS[m].randomized else None
+                try:
+                    region = compute_region(m, s, alpha, u=u, boot=boot)
+                except (InfeasibleLevelError, DegenerateDataError, UnsupportedSizeError):
+                    row[m] = None
+                else:
+                    row[m] = (region.contains(target), region.content)
+            want.append(row)
     # repr tells every float apart, -0.0 too.
     return [repr(o) for o in got], [repr(o) for o in want]
 
 
-# Sizes 3-5 hold infeasible levels, 63 and up need Python-int masses; alpha
-# 0.25 and 0.5 are dyadic, so their target masses are integers.
-@pytest.mark.parametrize("method", BATCHED)
+# Every method alone, and a mix of batch forms, bootstrap methods and methods
+# without a batch form in one block.  Sizes 3-5 hold infeasible levels, 63 and
+# up need Python-int masses; alpha 0.25 and 0.5 are dyadic, so their target
+# masses are integers.
+@pytest.mark.parametrize("methods", [(m,) for m in ALL_METHOD_IDS] + [(2, 3, 6, 9, 11, 12, 13)],
+                         ids=lambda ms: "-".join(map(str, ms)))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.one_of(st.integers(3, 12), st.sampled_from([63, 64, 80])),
        reps=st.integers(1, 9), breps=st.integers(1, 30), seed=st.integers(0, 2 ** 16),
        alpha=st.sampled_from([0.05, 0.3, 0.9, 1e-17, 0.25, 0.5]))
-def test_batch_form_equals_the_scalar_form_row_by_row(method, data, n, reps, breps, seed, alpha):
+def test_batch_form_equals_the_scalar_form_row_by_row(methods, data, n, reps, breps, seed, alpha):
     samples = tuple(data.draw(sample_row(n)) for _ in range(reps))
     # Region ends are order statistics, so a target on one tests their closure.
     target = data.draw(st.sampled_from([0.0, samples[0].median, *samples[0].values]))
     rngs = [RngStream(seed, ("rows", i)) for i in range(reps)]
-    got, want = batch_and_scalar(method, samples, alpha, target, breps, rngs)
+    got, want = block_and_scalar(methods, samples, alpha, target, breps, rngs)
     assert got == want
+
+
+def replicate_calls(monkeypatch, methods, reps):
+    """The methods of each ``replicate`` call that a normal n = 11 cell makes."""
+    calls = []
+
+    def recording(sample, alpha, left, breps, rng):
+        calls.append(left)
+        return replicate(sample, alpha, left, breps, rng)
+
+    monkeypatch.setattr(simulate, "replicate", recording)
+    _run_cell((normal(), 11, small_config(methods=methods, reps=reps)))
+    return calls
+
+
+def test_a_block_decided_in_batch_calls_replicate_zero_times(monkeypatch):
+    # On normal data every batch form decides every row, over two blocks.
+    assert replicate_calls(monkeypatch, tuple(BATCHED), _BLOCK + 6) == []
+
+
+def test_methods_without_a_batch_form_share_one_replicate_call_per_replication(monkeypatch):
+    reps = _BLOCK + 6
+    assert replicate_calls(monkeypatch, (3, 10, 11, 13), reps) == [(3, 10, 11, 13)] * reps
 
 
 @pytest.mark.parametrize("method", BATCHED)
@@ -433,7 +462,7 @@ def test_method_12_leaves_rows_with_a_ratio_group_to_the_scalar_form(alpha):
     u = np.array([rng.child("rand", 12).uniform() for rng in rngs])
     off = METHODS[12].rows(SampleRows(samples), alpha, 10.0, u)[0]
     assert off == [False, True, True, True]
-    got, want = batch_and_scalar(12, samples, alpha, 10.0, 1, rngs)
+    got, want = block_and_scalar((12,), samples, alpha, 10.0, 1, rngs)
     assert got == want
 
 
@@ -446,9 +475,9 @@ def test_method_12_is_off_where_no_mass_crosses_the_target():
     u = np.array([rng.child("rand", 12).uniform() for rng in rngs])
     for alpha, outcome in ((0.125, (True, 6.0)), (0.05, None)):
         assert METHODS[12].rows(SampleRows(samples), alpha, 2.0, u)[0] == [True] * 3
-        got, want = batch_and_scalar(12, samples, alpha, 2.0, 1, rngs)
+        got, want = block_and_scalar((12,), samples, alpha, 2.0, 1, rngs)
         assert got == want
-        assert want[0] == repr(outcome)
+        assert want[0] == repr({12: outcome})
 
 
 def test_method_12_meets_an_integer_target_mass_without_a_tie_group():
@@ -461,7 +490,7 @@ def test_method_12_meets_an_integer_target_mass_without_a_tie_group():
     u = np.array([rng.child("rand", 12).uniform() for rng in rngs])
     off, covered, content = METHODS[12].rows(SampleRows(samples), 0.5, 5.0, u)
     assert off == [False] * 8 and covered == [False] * 8 and content == [2.5] * 8
-    got, want = batch_and_scalar(12, samples, 0.5, 5.0, 1, rngs)
+    got, want = block_and_scalar((12,), samples, 0.5, 5.0, 1, rngs)
     assert got == want
 
 
