@@ -201,9 +201,12 @@ def _explain_randomized(sel, srt) -> dict:
 
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
+    dists = (_dist_by_name(s.strip()) for s in args.dists.split(",") if s.strip())
+    sizes = (int(s) for s in args.sizes.split(",") if s.strip())
     config = SimConfig(
-        distributions=tuple(_dist_by_name(s.strip()) for s in args.dists.split(",") if s.strip()),
-        sample_sizes=tuple(int(s) for s in args.sizes.split(",") if s.strip()),
+        # Deduplicated in first-seen order, as --methods is deduplicated.
+        distributions=tuple(dict.fromkeys(dists)),
+        sample_sizes=tuple(dict.fromkeys(sizes)),
         alpha=args.alpha,
         reps=args.reps,
         breps=args.breps,

@@ -14,12 +14,15 @@ This module collects the distribution-side machinery:
 Sampling is inverse-transform throughout so that a stream of uniforms maps to
 one variate per uniform (two for the normal mixture: one component coin plus
 one normal draw).  That keeps every sampler stable under a fixed stream key.
+``sample_block`` draws many streams' samples as the rows of one matrix, and
+``sample`` is its one-row case.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import struct
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,6 +54,7 @@ __all__ = [
     "normal_mixture",
     "study_distributions",
     "sample",
+    "sample_block",
     "RngStream",
 ]
 
@@ -241,7 +245,9 @@ class _Family(NamedTuple):
     support: Callable = lambda *params: (-math.inf, math.inf)  # (*params) -> (lower, upper)
     # nu with F ~ |x|**-nu in each unbounded tail; inf for tails lighter than every power.
     tail_index: float = math.inf
-    # (gen, n, *params), for a family whose variates are not one quantile per uniform.
+    # Uniforms per variate, and (u, *params) -> the variates of a (..., uniforms * n) array of
+    # them, for a family whose variates are not one quantile per uniform.
+    uniforms: int = 1
     draw: Callable | None = None
     # (*params) -> the median, where quantile(0.5) does not round it correctly.
     median: Callable | None = None
@@ -315,11 +321,10 @@ def _mixture_quantile_scalar(p: float, *params) -> float:
     return hi
 
 
-def _mixture_draw(gen: np.random.Generator, n: int, w1, m1, s1, m2, s2) -> np.ndarray:
+def _mixture_draw(u: np.ndarray, w1, m1, s1, m2, s2) -> np.ndarray:
     # Two uniforms per variate: the component coin, then the normal draw.
-    u = gen.random(2 * n)
-    z = _special.ndtri(np.maximum(u[1::2], _U_FLOOR))
-    return np.where(u[0::2] < w1, m1 + s1 * z, m2 + s2 * z)
+    z = _special.ndtri(np.maximum(u[..., 1::2], _U_FLOOR))
+    return np.where(u[..., 0::2] < w1, m1 + s1 * z, m2 + s2 * z)
 
 
 _FAMILIES: dict[str, _Family] = {
@@ -378,6 +383,7 @@ _FAMILIES: dict[str, _Family] = {
         quantile=lambda u, *p: np.vectorize(
             lambda q: _mixture_quantile_scalar(q, *p), otypes=[float])(u),
         valid=lambda w1, m1, s1, m2, s2: 0.0 < w1 < 1.0 and s1 > 0.0 and s2 > 0.0,
+        uniforms=2,
         draw=_mixture_draw,
     ),
 }
@@ -507,16 +513,31 @@ def study_distributions() -> dict[str, DistributionSpec]:
 # ---------------------------------------------------------------------------
 
 
-# One Philox per thread for the library's own draws.  Each draw re-keys it to
-# the start of its stream, which costs a tenth of constructing a generator and
-# gives the same variates; only the thread's current stream is ever live.
+# One Philox per thread for the library's own draws, with the state dict that
+# re-keys it.  Each draw swaps its stream's key into the dict and sets it, which
+# costs a tenth of constructing a generator and gives the same variates; only
+# the thread's current stream is ever live.
 _SHARED = threading.local()
-_PHILOX_ZERO = np.zeros(4, dtype=np.uint64)
+# The Philox key: the first 16 bytes of a stream's sha256 digest, as two
+# native-order words (what np.frombuffer(digest[:16], np.uint64) reads).
+_KEY_WORDS = struct.Struct("=2Q").unpack_from
 # Words per block of ``RngStream.bounded_words``'s rejection pass.  The
 # allocator serves its 64 KiB temporaries from pages it already holds; with
 # 256 KiB blocks, one simulate run of 280 bootstrap draws (n = 20 and 50,
 # breps 2000) took about 22,000 minor page faults instead of 200.
 _WORD_BLOCK = 1 << 14
+
+
+def _extended(sha, parts: tuple):
+    """``sha`` after hashing each stream key part, tagged by its type."""
+    for part in parts:
+        if isinstance(part, (int, np.integer)):
+            sha.update(f"\x1fi:{int(part)}".encode())
+        elif isinstance(part, str):
+            sha.update(b"\x1fs:" + part.encode())
+        else:
+            raise ValueError(f"stream key parts must be int or str, got {part!r}")
+    return sha
 
 
 @dataclass(frozen=True)
@@ -530,6 +551,14 @@ class RngStream:
     one value.  Key components may be ints or strings; both hash
     deterministically across platforms and processes.
 
+    The Philox key is the sha256 of the seed and the key parts, hashed
+    incrementally: a stream keeps its hash state once computed, and
+    ``child(*parts)`` extends a copy of it, so a cell's (seed, label, n)
+    prefix is hashed once, not once per draw.  A part that is neither int nor
+    str raises ValueError where it is hashed: at ``child``, or at the first
+    draw of a stream built with it.  The hash state is a cache: a stream
+    pickles, copies, compares and hashes by (master_seed, stream_key) alone.
+
     The library's internal draws (``uniform``, ``sample`` and
     ``bounded_words``, which the bootstrap resamples use) do not construct a
     generator: they re-key one per-thread Philox to the start of the stream,
@@ -540,23 +569,28 @@ class RngStream:
     master_seed: int
     stream_key: tuple = ()
 
-    def child(self, *parts) -> "RngStream":
-        return RngStream(self.master_seed, self.stream_key + tuple(parts))
+    def __reduce__(self):
+        # The cached hash state does not pickle; it is rebuilt on first use.
+        return RngStream, (self.master_seed, self.stream_key)
 
-    def _key(self) -> np.ndarray:
-        h = hashlib.sha256()
-        h.update(f"i:{self.master_seed}".encode())
-        for part in self.stream_key:
-            if isinstance(part, (int, np.integer)):
-                h.update(f"\x1fi:{int(part)}".encode())
-            elif isinstance(part, str):
-                h.update(b"\x1fs:" + part.encode())
-            else:
-                raise ValueError(f"stream key parts must be int or str, got {part!r}")
-        return np.frombuffer(h.digest()[:16], dtype=np.uint64)
+    def child(self, *parts) -> "RngStream":
+        out = RngStream(self.master_seed, self.stream_key + parts)
+        object.__setattr__(out, "_sha", _extended(self._sha256().copy(), parts))
+        return out
+
+    def _sha256(self):
+        """The sha256 state after the seed and every key part; never updated once cached."""
+        sha = self.__dict__.get("_sha")
+        if sha is None:
+            sha = _extended(hashlib.sha256(f"i:{self.master_seed}".encode()), self.stream_key)
+            object.__setattr__(self, "_sha", sha)
+        return sha
+
+    def _key(self) -> tuple[int, int]:
+        return _KEY_WORDS(self._sha256().digest())
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self._key()))
+        return np.random.Generator(np.random.Philox(key=np.array(self._key(), dtype=np.uint64)))
 
     def _rekeyed(self) -> np.random.Generator:
         """This thread's shared generator, set to the start of this stream.
@@ -565,18 +599,16 @@ class RngStream:
         thread, so the caller must finish its draws before calling anything
         else that draws.
         """
-        gen = getattr(_SHARED, "gen", None)
-        if gen is None:
-            gen = _SHARED.gen = np.random.Generator(np.random.Philox(0))
-        # What Philox(key=...) starts from: counter 0, no buffered output.
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _PHILOX_ZERO, "key": self._key()},
-            "buffer": _PHILOX_ZERO,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        shared = getattr(_SHARED, "philox", None)
+        if shared is None:
+            # What Philox(key=...) starts from: counter 0, no buffered output.
+            inner = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+            state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
+                     "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            shared = _SHARED.philox = (np.random.Generator(np.random.Philox(0)), state, inner)
+        gen, state, inner = shared
+        inner["key"] = self._key()
+        gen.bit_generator.state = state
         return gen
 
     def uniform(self) -> float:
@@ -632,8 +664,32 @@ def _split_words(raw: np.ndarray) -> np.ndarray:
     return raw.astype("<u8", copy=False).view("<u4")
 
 
+def sample_block(dist: DistributionSpec, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` variates of ``dist`` per stream as the rows of one matrix, and which rows are finite.
+
+    Row i comes from the head of ``rngs[i]``.  The rows' uniforms fill one
+    matrix, n per row (2n for the normal mixture: a component coin, then a
+    normal draw, per variate), and one elementwise transform maps all of it,
+    so a row does not depend on the others.  Returns the (rows, n) variates
+    and one boolean per row, False where a variate is beyond the float range:
+    that row holds the transform's IEEE values, and numpy does not warn.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    family = _FAMILIES[dist.family]
+    u = np.empty((len(rngs), family.uniforms * n))
+    for row, rng in zip(u, rngs):
+        rng._rekeyed().random(out=row)
+    if family.draw is None:
+        x = dist.quantile(np.maximum(u, _U_FLOOR, out=u))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = family.draw(u, *dist.params)
+    return x, np.isfinite(x).all(axis=1)
+
+
 def sample(dist: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
-    """Draw ``n`` IID variates from ``dist`` via inverse transforms.
+    """Draw ``n`` IID variates from ``dist`` via inverse transforms: ``sample_block``'s one row.
 
     Deterministic in (dist, n, rng): the same arguments always yield the same
     array.  Each variate is ``dist.quantile`` of one uniform, except the normal
@@ -641,15 +697,7 @@ def sample(dist: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     variate beyond the float range raises UnsupportedSizeError, without a
     numpy warning.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    gen = rng._rekeyed()
-    draw = _FAMILIES[dist.family].draw
-    if draw is None:
-        x = dist.quantile(np.maximum(gen.random(n), _U_FLOOR))
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = draw(gen, n, *dist.params)
-    if not np.isfinite(x).all():
+    x, finite = sample_block(dist, n, (rng,))
+    if not finite[0]:
         raise UnsupportedSizeError(f"a draw from {dist.label} is outside the float range")
-    return x
+    return x[0]

@@ -7,20 +7,22 @@ randomized method draws one fresh uniform.  Randomness is keyed per
 worker count, on which other methods run, or on the order of the
 distribution grid.
 
-A cell (one law, one n) draws its replications' samples (``draw``; a draw
-beyond the float range fails every method) in blocks of ``_BLOCK``.  Each
-method with a batch form (``MethodInfo.rows``) runs it once per block: 1, 2
-and 4 over the samples as matrix rows, 5-9 over one (block, breps) matrix of
-sorted bootstrap medians, and 12 over each row's spacing ratios, drawing
-each row's uniform as ``replicate`` draws it.  Then one ``replicate`` call
-per replication, which returns each method's region for one sample, decides
-the methods left off on it: 3, 10, 11 and 13, which have no batch form, a
-form that refuses the whole block, and a row off the plain path (overflow,
-a refused density; for method 12 also tied values, a ratio group of two or
-more counts, or no count whose mass crosses the level).  Contents are added
-in replication order: the CSV bytes are those of ``replicate`` on every
-replication, which stays the tests' oracle.  Memory does not grow with the
-number of replications.
+A cell (one law, one n) hashes its stream key once, and each replication's
+stream extends a copy of it.  The cell draws its replications' samples in
+blocks of ``_BLOCK``, each block as the rows of one matrix sorted at once
+(``_draw_block``: row i is ``draw``'s sample for replication i, and a row
+beyond the float range fails every method).  Each method with a batch form
+(``MethodInfo.rows``) runs it once per block: 1, 2 and 4 over the samples as
+matrix rows, 5-9 over one (block, breps) matrix of sorted bootstrap medians,
+and 12 over each row's spacing ratios, drawing each row's uniform as
+``replicate`` draws it.  Then one ``replicate`` call per replication, which
+returns each method's region for one sample, decides the methods left off on
+it: 3, 10, 11 and 13, which have no batch form, a form that refuses the
+whole block, and a row off the plain path (overflow, a refused density; for
+method 12 also tied values, a ratio group of two or more counts, or no count
+whose mass crosses the level).  Contents are added in replication order: the
+CSV bytes are those of ``replicate`` on every replication, which stays the
+tests' oracle.  Memory does not grow with the number of replications.
 
 Infinite-content regions (possible for the sign region at small n and for
 the plug-in adaptive region) still count toward coverage but are excluded
@@ -42,7 +44,7 @@ from .classical import (
     bootstrap_median_rows,
     bootstrap_medians,
 )
-from .distributions import DistributionSpec, RngStream, sample
+from .distributions import DistributionSpec, RngStream, sample, sample_block
 from .errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from .methods import METHODS, compute_region, method_info
 from .regions import Region, SortedSample, make_sample
@@ -71,6 +73,11 @@ class SimConfig:
             raise ValueError("need at least one distribution")
         if not self.sample_sizes or any(n < 3 for n in self.sample_sizes):
             raise ValueError("sample sizes must all be >= 3")
+        # A repeated law or size would run the same cell again and repeat its rows.
+        if len(set(self.distributions)) != len(self.distributions):
+            raise ValueError("distributions must be distinct")
+        if len(set(self.sample_sizes)) != len(self.sample_sizes):
+            raise ValueError("sample sizes must be distinct")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.reps < 1:
@@ -142,6 +149,20 @@ def draw(dist: DistributionSpec, n: int, rng: RngStream) -> SortedSample:
     return make_sample(sample(dist, n, rng.child("data")))
 
 
+def _draw_block(dist: DistributionSpec, n: int,
+                rngs: list[RngStream]) -> list[SortedSample | None]:
+    """``draw`` on each replication's stream, or None where a variate is beyond the float range.
+
+    The block's samples are drawn as the rows of one matrix (``sample_block``)
+    and sorted at once; each finite row is wrapped as a SortedSample as it is,
+    without ``make_sample``'s list round trip.
+    """
+    x, finite = sample_block(dist, n, [rng.child("data") for rng in rngs])
+    x.sort(axis=1)
+    x.flags.writeable = False
+    return [SortedSample(tuple(row.tolist()), row) if ok else None for row, ok in zip(x, finite)]
+
+
 def replicate(sample: SortedSample, alpha: float, methods: tuple[int, ...], breps: int,
               rng: RngStream) -> dict[int, Region | None]:
     """Every requested method's region on one replication's sample, drawn by ``draw``.
@@ -207,18 +228,17 @@ def _run_cell(args) -> list[SimResult]:
     dist, n, config = args
     target = dist.true_median()
     tallies = {m: _Tally() for m in config.methods}
+    # The cell's (seed, label, n) prefix is hashed once; each replication extends a copy.
+    cell = RngStream(config.master_seed, (dist.label, n))
     # A clamped bootstrap probability is part of the method, not news for the CSV's reader.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClampedProbabilityWarning)
         for start in range(0, config.reps, _BLOCK):
-            block = []
-            for rep in range(start, min(start + _BLOCK, config.reps)):
-                rng = RngStream(config.master_seed, (dist.label, n, rep))
-                try:
-                    block.append((draw(dist, n, rng), rng))
-                except UnsupportedSizeError:
-                    for t in tallies.values():
-                        t.add(None)
+            rngs = [cell.child(rep) for rep in range(start, min(start + _BLOCK, config.reps))]
+            block = [(s, rng) for s, rng in zip(_draw_block(dist, n, rngs), rngs) if s is not None]
+            for _ in range(len(rngs) - len(block)):
+                for t in tallies.values():
+                    t.add(None)
             if block:
                 for outcomes in _run_block(config.methods, block, config.alpha, target, config.breps):
                     for m, outcome in outcomes.items():

@@ -573,6 +573,19 @@ def test_simulate_writes_stable_csv(tmp_path, capsys):
     assert len(text.strip().splitlines()) == 7
 
 
+def test_simulate_runs_a_repeated_distribution_or_size_once(capsys):
+    # Deduplicated in first-seen order, as --methods is.
+    tail = ["--reps", "3", "--breps", "20", "--seed", "1", "--out", "-"]
+    assert main(["simulate", "--dists", "uniform,normal,uniform", "--sizes", "10,5,10",
+                 "--methods", "3,3", *tail]) == EXIT_OK
+    repeated = capsys.readouterr().out
+    assert main(["simulate", "--dists", "uniform,normal", "--sizes", "10,5",
+                 "--methods", "3", *tail]) == EXIT_OK
+    assert repeated == capsys.readouterr().out
+    assert [row.split(",")[1:3] for row in repeated.splitlines()[1:]] == [
+        ["uniform(-1;1)", "10"], ["uniform(-1;1)", "5"], ["normal(0;1)", "10"], ["normal(0;1)", "5"]]
+
+
 def test_simulate_stdout(capsys):
     assert main(["simulate", "--dists", "normal", "--sizes", "10", "--reps", "3",
                  "--breps", "20", "--methods", "3", "--seed", "0",
@@ -585,7 +598,7 @@ def test_simulate_stdout(capsys):
 def test_simulate_to_an_unwritable_path_exits_usage_before_any_replication(
         tmp_path, capsys, monkeypatch):
     drawn = []
-    monkeypatch.setattr(simulate, "draw", lambda *args: drawn.append(args))
+    monkeypatch.setattr(simulate, "_draw_block", lambda *args: drawn.append(args))
     out = tmp_path / "absent" / "x.csv"
     assert main(["simulate", "--dists", "normal", "--sizes", "10", "--reps", "3",
                  "--methods", "3", "--seed", "0", "--out", str(out)]) == EXIT_USAGE

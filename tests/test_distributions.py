@@ -1,6 +1,10 @@
 """Distribution primitives: exact binomial, quantiles, signed-rank null, samplers."""
 
+import copy
+import hashlib
+import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +13,7 @@ import pytest
 from scipy import integrate, optimize, special
 
 from mediancr.classical import bootstrap_medians
+from mediancr import distributions
 from mediancr.distributions import (
     _FAMILIES,
     DistributionSpec,
@@ -27,6 +32,7 @@ from mediancr.distributions import (
     normal_mixture,
     study_distributions,
     sample,
+    sample_block,
     signed_rank_null_cdf,
     t_quantile,
     uniform,
@@ -504,20 +510,22 @@ def test_sampler_median_sanity():
 
 
 def test_mixture_consumes_two_uniforms_per_variate():
-    # Drawing n mixture variates must leave the generator exactly 2n draws in.
+    # Drawing n mixture variates, one sample or a block's rows, takes the
+    # component coin and then the normal draw from 2n uniforms per row, and
+    # leaves the shared generator exactly 2n draws into the last row's stream.
     dist = normal_mixture(0.6, -5.0, 3.0, 5.0, 2.0)
-    rng = RngStream(99, ("pair",))
-    x = sample(dist, 10, rng)
-    gen = rng.generator()
-    u = gen.random(20)
-    z = float(gen.random())  # next value beyond what sample() used
-    coins, normals = u[0::2], u[1::2]
-    from scipy.special import ndtri
-
-    z2 = ndtri(np.maximum(normals, 2.0 ** -53))
-    manual = np.where(coins < 0.6, -5.0 + 3.0 * z2, 5.0 + 2.0 * z2)
-    np.testing.assert_array_equal(x, manual)
-    assert 0.0 <= z < 1.0
+    for n in (1, 3, 10):
+        rngs = [RngStream(99, ("pair", i)) for i in range(4)]
+        for block in (rngs[-1:], rngs):
+            x = sample(dist, n, block[0])[None] if len(block) == 1 else sample_block(dist, n, block)[0]
+            fresh = block[-1].generator()
+            fresh.random(2 * n)
+            assert distributions._SHARED.philox[0].random() == fresh.random()
+            for row, rng in zip(x, block):
+                u = rng.generator().random(2 * n)
+                z = special.ndtri(np.maximum(u[1::2], 2.0 ** -53))
+                manual = np.where(u[0::2] < 0.6, -5.0 + 3.0 * z, 5.0 + 2.0 * z)
+                assert row.tobytes() == manual.tobytes()
 
 
 def test_sample_determinism_and_stream_separation():
@@ -557,11 +565,40 @@ def test_sample_bytes_of_ordinary_laws_are_the_draw_of_their_quantiles():
 
 def fresh_sample(dist, n, rng):
     """Oracle: ``sample`` on a generator of its own, built by ``generator()``."""
-    gen = rng.generator()
-    draw = _FAMILIES[dist.family].draw
-    if draw is not None:
-        return draw(gen, n, *dist.params)
-    return dist.quantile(np.maximum(gen.random(n), 2.0 ** -53))
+    family = _FAMILIES[dist.family]
+    u = rng.generator().random(family.uniforms * n)
+    if family.draw is not None:
+        return family.draw(u, *dist.params)
+    return dist.quantile(np.maximum(u, 2.0 ** -53))
+
+
+BLOCK_STREAMS = [RngStream(17, ("block", i)) for i in range(7)]
+
+
+@pytest.mark.parametrize("dist", ALL_SPECS, ids=lambda d: d.family)
+@pytest.mark.parametrize("n", [1, 3, 10, 25])
+def test_sample_block_rows_are_fresh_samples(dist, n):
+    # Interleaved rows re-key the shared generator row by row; each row must be
+    # what a fresh generator on its stream gives, and sample is the one-row block.
+    x, finite = sample_block(dist, n, BLOCK_STREAMS)
+    assert x.shape == (len(BLOCK_STREAMS), n) and finite.tolist() == [True] * len(BLOCK_STREAMS)
+    for row, rng in zip(x, BLOCK_STREAMS):
+        assert row.tobytes() == fresh_sample(dist, n, rng).tobytes()
+        assert row.tobytes() == sample(dist, n, rng).tobytes()
+
+
+@pytest.mark.parametrize("dist, n", [(normal(0.0, 1e308), 1), (cauchy(0.0, 1e308), 2),
+                                     (normal_mixture(0.5, 0.0, 1e308, 0.0, 1.0), 3)])
+def test_sample_block_marks_exactly_the_rows_that_overflow(dist, n):
+    # Runs under the suite's error::RuntimeWarning filter: an overflow warns nowhere.
+    rngs = [RngStream(23, ("over", i)) for i in range(40)]
+    x, finite = sample_block(dist, n, rngs)
+    with np.errstate(over="ignore"):
+        fresh = [fresh_sample(dist, n, rng) for rng in rngs]
+    assert finite.tolist() == [bool(np.isfinite(f).all()) for f in fresh]
+    assert 0 < finite.sum() < len(rngs)
+    for row, f in zip(x, fresh):
+        assert row.tobytes() == f.tobytes()
 
 
 def test_shared_generator_draws_what_fresh_generators_draw():
@@ -640,8 +677,53 @@ def test_generator_is_fresh_and_independent():
 
 def test_stream_key_types_distinguished():
     assert RngStream(0, (1,)).uniform() != RngStream(0, ("1",)).uniform()
-    with pytest.raises(ValueError):
-        RngStream(0, (1.5,)).generator()
+    # A float part raises where it is hashed: at the first draw of a stream
+    # built with it, and at child() when a child adds it.
+    floated = RngStream(0, (1.5,))
+    with pytest.raises(ValueError, match="int or str"):
+        floated.generator()
+    with pytest.raises(ValueError, match="int or str"):
+        floated.uniform()
+    with pytest.raises(ValueError, match="int or str"):
+        RngStream(0, ("a",)).child(2, 1.5)
+
+
+def hashed_key(seed, key):
+    """Oracle: the Philox key words of the sha256 of the whole key, hashed from scratch."""
+    text = f"i:{seed}" + "".join(
+        f"\x1fs:{p}" if isinstance(p, str) else f"\x1fi:{int(p)}" for p in key)
+    return tuple(np.frombuffer(hashlib.sha256(text.encode()).digest()[:16], dtype=np.uint64).tolist())
+
+
+KEY_PARTS = [7, np.int64(-7), np.uint8(200), "data", "\u00fc", 2 ** 70]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("seed, key", [(0, ()), (2026, ("normal(0;1)", 10)), (-3, (np.int32(5),))])
+def test_child_extends_a_copy_of_its_parents_hash(seed, key, depth):
+    parent = RngStream(seed, key)
+    for parts in itertools.product(KEY_PARTS, repeat=depth):
+        whole = RngStream(seed, key + parts)
+        # One child call, and one part at a time from a parent whose hash is cached.
+        stepwise = parent
+        for part in parts:
+            stepwise = stepwise.child(part)
+        for got in (parent.child(*parts), stepwise):
+            assert got == whole and hash(got) == hash(whole)
+            assert got._key() == whole._key() == hashed_key(seed, key + parts)
+            assert repr(got.uniform()) == repr(whole.uniform())
+            assert got.generator().random(5).tobytes() == whole.generator().random(5).tobytes()
+
+
+def test_a_stream_that_has_drawn_pickles_and_copies_by_its_key():
+    rng = RngStream(9, ("p", 1)).child("data")
+    head = rng.uniform()
+    child_head = rng.child("rand", 3).uniform()
+    for clone in (pickle.loads(pickle.dumps(rng)), copy.copy(rng), copy.deepcopy(rng)):
+        assert clone == rng == RngStream(9, ("p", 1, "data"))
+        assert hash(clone) == hash(rng) and repr(clone) == repr(rng)
+        assert repr(clone.uniform()) == repr(head)
+        assert repr(clone.child("rand", 3).uniform()) == repr(child_head)
 
 
 def test_sample_rejects_bad_n():

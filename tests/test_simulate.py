@@ -33,6 +33,7 @@ from mediancr.simulate import (
     CSV_HEADER,
     SimConfig,
     SimResult,
+    _draw_block,
     _run_block,
     _run_cell,
     draw,
@@ -72,6 +73,25 @@ def test_config_validation():
         small_config(alpha=0.0)
     with pytest.raises(ValueError):
         small_config(workers=0)
+
+
+def test_config_rejects_a_repeated_distribution_or_size():
+    # Each would run one cell twice and write its rows twice.
+    with pytest.raises(ValueError, match="distributions must be distinct"):
+        small_config(distributions=(normal(), exponential(1.0), normal(0.0, 1.0)))
+    with pytest.raises(ValueError, match="sample sizes must be distinct"):
+        small_config(sample_sizes=(10, 15, 10))
+
+
+def test_cell_streams_are_the_replication_keys():
+    # A cell keys (seed, label, n) once and takes child(rep) per replication:
+    # each sample is draw's on the replication's own key.
+    dist = study_distributions()["gamma"]
+    rngs = [RngStream(7, (dist.label, 10)).child(rep) for rep in range(5)]
+    for s, rep in zip(_draw_block(dist, 10, rngs), range(5)):
+        one = draw(dist, 10, RngStream(7, (dist.label, 10, rep)))
+        assert s == one and s.array.tobytes() == one.array.tobytes()
+        assert not s.array.flags.writeable
 
 
 def test_replicate_deterministic_and_subset_invariant():
@@ -333,6 +353,9 @@ def test_warm_replication_constructs_no_bit_generator(monkeypatch):
     rng = RngStream(4, (dist.label, 10, 1))
     out = replicate(draw(dist, 10, rng), 0.05, methods, 50, rng)
     assert sorted(out) == list(methods)
+    # A whole cell too: its block draw, bootstrap words and every randomizer uniform.
+    cfg = small_config(distributions=(dist,), sample_sizes=(10,), reps=3, methods=methods)
+    assert len(_run_cell((dist, 10, cfg))) == len(methods)
     assert constructed == []
     RngStream(4).generator()  # the guard does see a construction
     assert len(constructed) == 1
