@@ -516,8 +516,9 @@ def test_mixture_consumes_two_uniforms_per_variate():
     dist = normal_mixture(0.6, -5.0, 3.0, 5.0, 2.0)
     for n in (1, 3, 10):
         rngs = [RngStream(99, ("pair", i)) for i in range(4)]
-        for block in (rngs[-1:], rngs):
-            x = sample(dist, n, block[0])[None] if len(block) == 1 else sample_block(dist, n, block)[0]
+        for block, draw in [(rngs[-1:], lambda: [sample(dist, n, rngs[-1])]),
+                            (rngs, lambda: sample_block(dist, n, rngs)[0])]:
+            x = draw()
             fresh = block[-1].generator()
             fresh.random(2 * n)
             assert distributions._SHARED.philox[0].random() == fresh.random()
