@@ -9,7 +9,6 @@ The top level exports the documented API; every other name is imported from
 its submodule.
 """
 
-from .classical import BootstrapDistribution
 from .errors import DegenerateDataError, InfeasibleLevelError, UnsupportedSizeError
 from .methods import ALL_METHOD_IDS, METHODS, compute_region
 from .regions import Interval, Region, SortedSample, make_sample
@@ -18,7 +17,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_METHOD_IDS",
-    "BootstrapDistribution",
     "DegenerateDataError",
     "InfeasibleLevelError",
     "Interval",

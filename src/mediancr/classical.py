@@ -49,7 +49,6 @@ __all__ = [
     "cr_sign",
     "kde_at_median",
     "cr_asymp_median",
-    "BootstrapDistribution",
     "bootstrap_medians",
     "jackknife_acceleration",
     "cr_bootstrap",
@@ -78,23 +77,19 @@ def _upper_p(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class SampleRows:
-    """Equal-size samples as the rows of ``x``, with their sorted bootstrap ``medians``.
-
-    ``median`` holds each sample's median, or the observed medians that the
-    caller's bootstrap distributions carry.
-    """
+    """Equal-size samples as the rows of ``x``, with their sorted bootstrap ``medians``
+    (row i from ``samples[i]``) and each sample's ``median``."""
 
     samples: tuple[SortedSample, ...]
     medians: np.ndarray | None = None
-    median: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.median is None:
-            object.__setattr__(self, "median", np.array([s.median for s in self.samples]))
 
     @cached_property
     def x(self) -> np.ndarray:
         return np.stack([s.array for s in self.samples])
+
+    @cached_property
+    def median(self) -> np.ndarray:
+        return np.array([s.median for s in self.samples])
 
 
 def _closed(ends: tuple[np.ndarray, np.ndarray]) -> Region:
@@ -287,46 +282,20 @@ def cr_asymp_median_rows(rows: SampleRows, alpha: float) -> tuple[np.ndarray, ..
         return rows.median - half, rows.median + half
 
 
-@dataclass(frozen=True)
-class BootstrapDistribution:
-    """Sorted bootstrap medians plus the observed sample median.
+def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> np.ndarray:
+    """The sorted, read-only float64 medians of ``breps`` with-replacement resamples.
 
-    ``medians`` is a SortedSample: its ``values`` tuple and read-only
-    ``array`` serve the quantiles and the CDF.
-    """
-
-    medians: SortedSample
-    observed_median: float
-
-    @property
-    def breps(self) -> int:
-        return self.medians.n
-
-    def quantile(self, p: float) -> float:
-        """Ceiling-index empirical quantile: the ceil(p * B)-th order statistic."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {p}")
-        return self.medians.values[int(_ceil_index(p, self.breps))]
-
-    def cdf_at(self, x: float) -> float:
-        """Fraction of bootstrap medians at or below x."""
-        return bisect.bisect_right(self.medians.values, x) / self.breps
-
-
-def bootstrap_medians(sample: SortedSample, breps: int, rng: RngStream) -> BootstrapDistribution:
-    """Medians of ``breps`` with-replacement resamples, deterministic in rng.
-
-    The resample indices are ``rng.generator().integers(0, n, size=(breps, n),
-    dtype=np.int32)``: each is floor(w * n / 2**32) of an accepted 32-bit word
-    w (``RngStream.bounded_words``).  That map is nondecreasing in w, so
+    Row 0 of ``bootstrap_median_rows``, deterministic in rng.  The resample
+    indices are ``rng.generator().integers(0, n, size=(breps, n), dtype=np.int32)``:
+    each is floor(w * n / 2**32) of an accepted 32-bit word w
+    (``RngStream.bounded_words``).  That map is nondecreasing in w, so
     sorting a row of words sorts its indices; the values are ascending, so a
     resample's median sits at the middle column(s) of its sorted row, and only
     those words are mapped.  No resampled values are gathered.
     """
     if breps < 1:
         raise ValueError(f"breps must be >= 1, got {breps}")
-    med = bootstrap_median_rows((sample,), breps, (rng,))[0]
-    return BootstrapDistribution(SortedSample(tuple(med.tolist()), med), sample.median)
+    return bootstrap_median_rows((sample,), breps, (rng,))[0]
 
 
 def bootstrap_median_rows(samples, breps: int, rngs) -> np.ndarray:
@@ -409,7 +378,7 @@ def _reflect(m: np.ndarray, q: np.ndarray) -> np.ndarray:
 def cr_bootstrap(
     sample: SortedSample,
     alpha: float,
-    boot: BootstrapDistribution,
+    boot: np.ndarray,
     variant: str,
 ) -> Region:
     """One of the five bootstrap intervals, as a closed interval.
@@ -417,11 +386,12 @@ def cr_bootstrap(
     Parameters
     ----------
     sample : SortedSample
-        The observed data (used by the BCa jackknife).
+        The observed data: its median, and the BCa jackknife.
     alpha : float
         Miscoverage level.
-    boot : BootstrapDistribution
-        Precomputed bootstrap medians; share one across variants to compare
+    boot : np.ndarray
+        The sorted bootstrap medians of ``sample`` (``bootstrap_medians``),
+        one-dimensional and not empty; share one across variants to compare
         them on identical resamples.
     variant : str
         One of "basic", "se", "percentile", "bc", "bca".
@@ -431,8 +401,11 @@ def cr_bootstrap(
         raise ValueError(f"variant must be one of {BOOTSTRAP_VARIANTS}, got {variant!r}")
     if variant == "se" and sample.n < 2:
         raise ValueError(f"need n >= 2, got {sample.n}")
-    rows = SampleRows((sample,), boot.medians.array[None, :], np.array([boot.observed_median]))
-    return _closed(cr_bootstrap_rows(rows, alpha, variant))
+    boot = np.asarray(boot, dtype=float)
+    if boot.ndim != 1 or boot.size == 0:
+        raise ValueError(f"boot must be a non-empty one-dimensional array of medians, "
+                         f"got shape {boot.shape}")
+    return _closed(cr_bootstrap_rows(SampleRows((sample,), boot[None, :]), alpha, variant))
 
 
 def cr_bootstrap_rows(rows: SampleRows, alpha: float, variant: str) -> tuple[np.ndarray, ...]:
@@ -440,7 +413,7 @@ def cr_bootstrap_rows(rows: SampleRows, alpha: float, variant: str) -> tuple[np.
     medians, m = rows.medians, rows.median
     breps = medians.shape[1]
 
-    def quantile(p):  # BootstrapDistribution.quantile for one p, or one p per row
+    def quantile(p):  # the ceil(p * breps)-th median, for one p or one p per row
         return medians[np.arange(len(medians)), _ceil_index(p, breps)]
 
     if variant == "basic":

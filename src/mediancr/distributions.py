@@ -555,9 +555,10 @@ class RngStream:
     incrementally: a stream keeps its hash state once computed, and
     ``child(*parts)`` extends a copy of it, so a cell's (seed, label, n)
     prefix is hashed once, not once per draw.  A part that is neither int nor
-    str raises ValueError where it is hashed: at ``child``, or at the first
-    draw of a stream built with it.  The hash state is a cache: a stream
-    pickles, copies, compares and hashes by (master_seed, stream_key) alone.
+    str, or a seed that is not an int, raises ValueError where it is hashed:
+    at ``child``, or at the first draw of a stream built with it.  The hash
+    state is a cache: a stream pickles, copies, compares and hashes by
+    (master_seed, stream_key) alone.
 
     The library's internal draws (``uniform``, ``sample`` and
     ``bounded_words``, which the bootstrap resamples use) do not construct a
@@ -582,6 +583,8 @@ class RngStream:
         """The sha256 state after the seed and every key part; never updated once cached."""
         sha = self.__dict__.get("_sha")
         if sha is None:
+            if not isinstance(self.master_seed, (int, np.integer)):
+                raise ValueError(f"master seed must be an integer, got {self.master_seed!r}")
             sha = _extended(hashlib.sha256(f"i:{self.master_seed}".encode()), self.stream_key)
             object.__setattr__(self, "_sha", sha)
         return sha

@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .classical import (
-    BootstrapDistribution,
     SampleRows,
     cr_asymp_median,
     cr_asymp_median_rows,
@@ -49,7 +48,8 @@ __all__ = ["MethodInfo", "METHODS", "ALL_METHOD_IDS", "method_info", "compute_re
 class MethodInfo:
     """One method: its id, its output name, and how its region is built.
 
-    ``region(sample, alpha, u, boot)`` builds the region.  A randomized method
+    ``region(sample, alpha, u, boot)`` builds the region, a bootstrap method's
+    from ``boot``, the sample's sorted ``bootstrap_medians``.  A randomized method
     also carries ``selection(sample, alpha)``, the count selection that its
     region realizes for the draw u.  A batch form ``rows(rows, alpha, target,
     u)`` over a ``SampleRows``, with one uniform per row in ``u`` for a
@@ -62,7 +62,7 @@ class MethodInfo:
 
     method_id: int
     name: str
-    region: Callable[[SortedSample, float, float | None, BootstrapDistribution | None], Region]
+    region: Callable[[SortedSample, float, float | None, np.ndarray | None], Region]
     selection: Callable[[SortedSample, float], Gamma0Selection] | None = None
     boot_variant: str | None = None
     rows: Callable[[SampleRows, float, float, Sequence[float] | None], tuple[list, ...]] | None = None
@@ -81,7 +81,8 @@ def _closed_rows(ends: tuple[np.ndarray, ...], target: float) -> tuple[list, ...
     lo, hi = ends
     off = ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
     with np.errstate(over="ignore", invalid="ignore"):
-        return off.tolist(), ((lo <= target) & (target <= hi)).tolist(), (hi - lo).tolist()
+        # Summed from +0.0, as Region.content is: [0.0, -0.0] measures 0.0, not -0.0.
+        return off.tolist(), ((lo <= target) & (target <= hi)).tolist(), (0.0 + (hi - lo)).tolist()
 
 
 def _half_open_rows(ends: tuple[np.ndarray, ...], target: float) -> tuple[list, ...]:
@@ -143,19 +144,20 @@ def compute_region(
     alpha: float,
     *,
     u: float | None = None,
-    boot: BootstrapDistribution | None = None,
+    boot: np.ndarray | None = None,
 ) -> Region:
     """Build the region of ``method_id`` from its ``METHODS`` entry.
 
     Randomized methods (10..13) require ``u``; bootstrap methods (5..9)
-    require ``boot``.  Supplying what a method does not need is harmless, so
-    a caller may prepare both once and evaluate several methods.
+    require ``boot``, the sample's sorted ``bootstrap_medians``.  Supplying
+    what a method does not need is harmless, so a caller may prepare both
+    once and evaluate several methods.
     """
     info = method_info(method_id)
     if info.randomized and u is None:
         raise ValueError(f"method {method_id} is randomized and needs u")
     if info.needs_bootstrap and boot is None:
-        raise ValueError(f"method {method_id} needs a bootstrap distribution")
+        raise ValueError(f"method {method_id} needs the bootstrap medians")
     return info.region(sample, alpha, u, boot)
 
 

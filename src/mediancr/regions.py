@@ -46,7 +46,7 @@ def midpoint(a, b):
 
 @dataclass(frozen=True)
 class SortedSample:
-    """An observed sample, or a set of bootstrap medians, stored in ascending order.
+    """An observed sample, stored in ascending order.
 
     ``array`` holds the same values as a read-only float64 array for numpy
     work; it is built from ``values`` when not given.

@@ -38,6 +38,8 @@ import warnings
 from dataclasses import dataclass, fields
 from typing import Iterator
 
+import numpy as np
+
 from .classical import (
     ClampedProbabilityWarning,
     SampleRows,
@@ -71,6 +73,11 @@ class SimConfig:
     def __post_init__(self):
         if not self.distributions:
             raise ValueError("need at least one distribution")
+        # A float count would fail only mid-run: a size not until its cell starts.
+        for name, count in [*(("sample size", n) for n in self.sample_sizes),
+                            ("reps", self.reps), ("breps", self.breps), ("workers", self.workers)]:
+            if not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if not self.sample_sizes or any(n < 3 for n in self.sample_sizes):
             raise ValueError("sample sizes must all be >= 3")
         # A repeated law or size would run the same cell again and repeat its rows.

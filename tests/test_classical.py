@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from mediancr.classical import (
     BOOTSTRAP_VARIANTS,
-    BootstrapDistribution,
     ClampedProbabilityWarning,
     _quartile,
     _triu_pair,
+    bootstrap_median_rows,
     bootstrap_medians,
     cr_asymp_median,
     cr_bootstrap,
@@ -96,7 +96,7 @@ def test_t_and_bootstrap_se_take_numpys_sd_silently_past_the_float_range(values)
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.sort(np.array(values))
         sd = float(np.std(x, ddof=1))
-        se = float(np.std(boot.medians.array, ddof=1))
+        se = float(np.std(boot, ddof=1))
         cases = [(lambda: cr_t(s, 0.05), float(np.mean(x)), sd, tq * sd / math.sqrt(n)),
                  (lambda: cr_bootstrap(s, 0.05, boot, "se"), s.median, se, tq * se)]
     for region, center, spread, half in cases:
@@ -116,11 +116,10 @@ def test_sample_and_bootstrap_medians_are_read_only_through_pickling():
     assert s == SortedSample(s.values) and hash(s) == hash(SortedSample(s.values))
     copied = pickle.loads(pickle.dumps(s))
     assert copied == s and not copied.array.flags.writeable
-    # A bootstrap distribution holds its medians as a SortedSample, guarded the same way.
+    # The bootstrap medians are a read-only array too, and pickle to the same bytes.
     boot = bootstrap_medians(s, 50, RngStream(1, ("boot",)))
-    copied = pickle.loads(pickle.dumps(boot))
-    assert copied == boot and not copied.medians.array.flags.writeable
-    assert copied.medians.array.tobytes() == boot.medians.array.tobytes()
+    assert not boot.flags.writeable
+    assert pickle.loads(pickle.dumps(boot)).tobytes() == boot.tobytes()
 
 
 def test_t_interval_domain():
@@ -554,14 +553,16 @@ def test_asymp_median_refuses_an_end_past_the_float_range_without_a_warning():
 
 def test_bootstrap_medians_deterministic_and_sorted():
     s = make_sample(sample(normal(), 15, RngStream(3, ("bm",))))
-    b1 = bootstrap_medians(s, 200, RngStream(3, ("boot",)))
-    b2 = bootstrap_medians(s, 200, RngStream(3, ("boot",)))
-    assert b1 == b2
-    assert b1.breps == 200
-    assert list(b1.medians.values) == sorted(b1.medians.values)
-    assert b1.observed_median == s.median
+    rng = RngStream(3, ("boot",))
+    b1 = bootstrap_medians(s, 200, rng)
+    b2 = bootstrap_medians(s, 200, rng)
+    assert b1.tobytes() == b2.tobytes()
+    # One sorted, read-only float64 row: row 0 of the batch form.
+    assert b1.shape == (200,) and b1.dtype == np.float64 and not b1.flags.writeable
+    assert b1.tolist() == sorted(b1.tolist())
+    assert b1.tobytes() == bootstrap_median_rows((s,), 200, (rng,))[0].tobytes()
     b3 = bootstrap_medians(s, 200, RngStream(3, ("boot2",)))
-    assert b3 != b1
+    assert b3.tobytes() != b1.tobytes()
 
 
 @st.composite
@@ -585,9 +586,8 @@ def test_bootstrap_medians_equal_numpy_median(s, breps, seed):
     idx = rng.generator().integers(0, s.n, size=(breps, s.n))
     expected = np.sort(np.median(s.array[idx], axis=1)).tolist()
     boot = bootstrap_medians(s, breps, rng)
-    assert [repr(v) for v in boot.medians.values] == [repr(v) for v in expected]
-    assert [repr(v) for v in boot.medians.array.tolist()] == [repr(v) for v in expected]
-    assert boot.medians.array.dtype == np.float64 and not boot.medians.array.flags.writeable
+    assert [repr(v) for v in boot.tolist()] == [repr(v) for v in expected]
+    assert boot.dtype == np.float64 and not boot.flags.writeable
 
 
 def test_bootstrap_medians_near_the_float_limit_are_finite_and_silent():
@@ -596,8 +596,8 @@ def test_bootstrap_medians_near_the_float_limit_are_finite_and_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         boot = bootstrap_medians(s, 500, RngStream(4, ("boot",)))
-    assert s.values[0] <= min(boot.medians.values) and max(boot.medians.values) <= s.values[-1]
-    assert math.isfinite(boot.observed_median)
+    assert s.values[0] <= boot.min() and boot.max() <= s.values[-1]
+    assert math.isfinite(s.median)
 
 
 @pytest.mark.parametrize(
@@ -627,7 +627,7 @@ def test_bootstrap_medians_equal_numpy_median_at_benchmark_sizes(n, breps):
         s = make_sample(sample(normal(), n, RngStream(seed, ("bench", n))))
         rng = RngStream(seed, ("boot",))
         boot = bootstrap_medians(s, breps, rng)
-        assert boot.medians.array.tobytes() == median_oracle(s, breps, rng).tobytes(), seed
+        assert boot.tobytes() == median_oracle(s, breps, rng).tobytes(), seed
 
 
 def rejects_a_word(rng: RngStream, n: int, count: int) -> bool:
@@ -654,7 +654,7 @@ def test_bootstrap_medians_peak_memory_is_one_resample_matrix(seed):
     finally:
         tracemalloc.stop()
     assert peak <= breps * n * 4 + 2**20
-    assert boot.medians.array.tobytes() == median_oracle(s, breps, rng).tobytes()
+    assert boot.tobytes() == median_oracle(s, breps, rng).tobytes()
 
 
 def mpmath_acceleration(values) -> mpmath.mpf:
@@ -750,28 +750,39 @@ def test_jackknife_acceleration_is_power_of_two_scale_free(s, k):
 
 
 def test_bootstrap_quantile_ceiling_convention():
-    boot = BootstrapDistribution(SortedSample((10.0, 20.0, 30.0, 40.0)), 25.0)
-    assert boot.quantile(0.0) == 10.0
-    assert boot.quantile(0.25) == 10.0
-    assert boot.quantile(0.26) == 20.0
-    assert boot.quantile(0.5) == 20.0
-    assert boot.quantile(1.0) == 40.0
-    with pytest.raises(ValueError):
-        boot.quantile(1.0001)
+    # The percentile interval reads the ceil(p * B)-th of B = 4 medians, the
+    # first at least: at alpha 0.5, p = 0.25 and 0.75 are the 1st and 3rd; at
+    # alpha 0.52, p = 0.26 and 0.74 are the 2nd and 3rd.
+    boot = np.array([10.0, 20.0, 30.0, 40.0])
+    s = make_sample([1.0, 25.0, 50.0])
+    assert cr_bootstrap(s, 0.5, boot, "percentile").to_strings() == ["[10.0:30.0]"]
+    assert cr_bootstrap(s, 0.52, boot, "percentile").to_strings() == ["[20.0:30.0]"]
+    # A tiny alpha takes the first and the last median.
+    assert cr_bootstrap(s, 1e-9, boot, "percentile").to_strings() == ["[10.0:40.0]"]
 
 
 def test_bootstrap_cdf_at_counts_ties():
-    boot = BootstrapDistribution(SortedSample((1.0, 2.0, 2.0, 3.0)), 2.0)
-    assert boot.cdf_at(2.0) == 0.75
-    assert boot.cdf_at(0.5) == 0.0
-    assert boot.cdf_at(3.0) == 1.0
+    # BC's p0 is the share of medians at or below the observed 2, ties
+    # included: 3 of 4.  Oracle: statistics.NormalDist at alpha 0.4, where
+    # z0 = Phi^-1(0.75) moves p_lo = Phi(2 z0 - z) to 0.69 and p_hi to 0.99,
+    # the 3rd and 4th of the 4 medians.  Counting only the medians below 2
+    # (p0 = 1/4) would give [1, 2]; half the ties (p0 = 1/2), the percentile [1, 3].
+    nd = statistics.NormalDist()
+    z0, z = nd.inv_cdf(0.75), nd.inv_cdf(0.8)
+    assert [math.ceil(4 * nd.cdf(2 * z0 + sign * z)) for sign in (-1, 1)] == [3, 4]
+    boot = np.array([1.0, 2.0, 2.0, 3.0])
+    s = make_sample([1.0, 2.0, 3.0])
+    assert cr_bootstrap(s, 0.4, boot, "bc").to_strings() == ["[2.0:3.0]"]
+    assert cr_bootstrap(s, 0.4, boot, "percentile").to_strings() == ["[1.0:3.0]"]
 
 
-SYN = BootstrapDistribution(SortedSample(tuple(float(v) for v in range(1, 101))), 50.5)
+# 100 medians 1..100 around an observed 50.5.
+SYN = np.arange(1.0, 101.0)
+SYN_SAMPLE = make_sample([1.0, 50.0, 51.0, 100.0])
 
 
 def test_basic_interval_reflects_percentile():
-    r = cr_bootstrap(make_sample([1.0, 2.0, 3.0]), 0.10, SYN, "basic")
+    r = cr_bootstrap(make_sample([1.0, 50.5, 100.0]), 0.10, SYN, "basic")
     [iv] = r.intervals
     # quantile(.95) = 95, quantile(.05) = 5; reflected about 2 * 50.5.
     assert iv.lo == 2 * 50.5 - 95.0
@@ -779,17 +790,17 @@ def test_basic_interval_reflects_percentile():
 
 
 def test_percentile_interval_reads_quantiles():
-    r = cr_bootstrap(make_sample([1.0, 2.0, 3.0]), 0.10, SYN, "percentile")
+    r = cr_bootstrap(SYN_SAMPLE, 0.10, SYN, "percentile")
     [iv] = r.intervals
     assert iv.lo == 5.0
     assert iv.hi == 95.0
 
 
 def test_se_interval_uses_t_scale():
-    s = make_sample([1.0, 2.0, 3.0, 4.0, 5.0])
+    s = make_sample([1.0, 2.0, 50.5, 99.0, 100.0])
     r = cr_bootstrap(s, 0.05, SYN, "se")
     [iv] = r.intervals
-    se = np.std(np.array(SYN.medians.values), ddof=1)
+    se = np.std(SYN, ddof=1)
     half = t_quantile(0.975, 4) * se
     assert iv.lo == pytest.approx(50.5 - half, rel=1e-14)
     assert iv.hi == pytest.approx(50.5 + half, rel=1e-14)
@@ -806,25 +817,24 @@ def test_se_interval_needs_two_resamples():
 
 
 def test_se_interval_constant_medians_collapses():
-    boot = BootstrapDistribution(SortedSample((2.0,) * 50), 2.0)
+    boot = np.full(50, 2.0)
     r = cr_bootstrap(make_sample([1.0, 2.0, 3.0]), 0.05, boot, "se")
     assert r.intervals == (Interval(2.0, 2.0, closed_hi=True),)
 
 
 def test_bc_reduces_to_percentile_when_unbiased():
-    # Exactly half the bootstrap medians sit at or below the observed value,
+    # Exactly half the bootstrap medians sit at or below the observed 50.5,
     # so the bias correction is zero.
-    assert SYN.cdf_at(50.5) == 0.5
-    s = make_sample([1.0, 2.0, 3.0, 4.0])
-    pct = cr_bootstrap(s, 0.10, SYN, "percentile")
-    bc = cr_bootstrap(s, 0.10, SYN, "bc")
+    assert SYN_SAMPLE.median == 50.5 and (SYN <= 50.5).sum() == 50
+    pct = cr_bootstrap(SYN_SAMPLE, 0.10, SYN, "percentile")
+    bc = cr_bootstrap(SYN_SAMPLE, 0.10, SYN, "bc")
     assert bc == pct
 
 
 def test_bca_reduces_to_percentile_when_symmetric():
-    # Data {1,2,3,4}: leave-one-out medians are (3,3,2,2), so the cubed
-    # deviations cancel and the acceleration vanishes.
-    s = make_sample([1.0, 2.0, 3.0, 4.0])
+    # Data {1,50,51,100}: leave-one-out medians are (51,51,50,50), so the
+    # cubed deviations cancel and the acceleration vanishes.
+    s = SYN_SAMPLE
     assert jackknife_acceleration(s) == 0.0
     pct = cr_bootstrap(s, 0.10, SYN, "percentile")
     bca = cr_bootstrap(s, 0.10, SYN, "bca")
@@ -862,8 +872,8 @@ def test_jackknife_acceleration_flat_medians():
 
 
 def test_bc_clamps_saturated_bias_with_warning():
-    boot = BootstrapDistribution(SortedSample(tuple(float(v) for v in range(1, 51))), 99.0)
-    s = make_sample([1.0, 2.0, 3.0])
+    boot = np.arange(1.0, 51.0)
+    s = make_sample([1.0, 99.0, 100.0])  # its median 99 is above every bootstrap median
     with pytest.warns(ClampedProbabilityWarning):
         r = cr_bootstrap(s, 0.05, boot, "bc")
     [iv] = r.intervals

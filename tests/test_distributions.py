@@ -621,7 +621,7 @@ def test_shared_generator_draws_what_fresh_generators_draw():
             boot = bootstrap_medians(data, n, boot_rng)
             idx = boot_rng.generator().integers(0, data.n, size=(n, data.n), dtype=np.int32)
             expected = np.sort(np.median(data.array[np.sort(idx, axis=1)], axis=1))
-            assert boot.medians.array.tobytes() == expected.tobytes()
+            assert boot.tobytes() == expected.tobytes()
 
 
 BOUNDS = [1, 2, 3, 7, 64, 1000, 100_003, 2**31 - 1, 1431655766, 2**30 + 1]
@@ -694,6 +694,15 @@ def hashed_key(seed, key):
     text = f"i:{seed}" + "".join(
         f"\x1fs:{p}" if isinstance(p, str) else f"\x1fi:{int(p)}" for p in key)
     return tuple(np.frombuffer(hashlib.sha256(text.encode()).digest()[:16], dtype=np.uint64).tolist())
+
+
+def test_master_seed_must_be_an_integer():
+    # It raises where the seed is hashed, as a float key part does; a numpy
+    # integer seed keeps the key of its int.
+    for use in (lambda r: r.uniform(), lambda r: r.generator(), lambda r: r.child(1)):
+        with pytest.raises(ValueError, match="master seed must be an integer, got 1.5"):
+            use(RngStream(1.5, ("a",)))
+    assert RngStream(np.int64(5), ("a",))._key() == RngStream(5, ("a",))._key() == hashed_key(5, ("a",))
 
 
 KEY_PARTS = [7, np.int64(-7), np.uint8(200), "data", "\u00fc", 2 ** 70]

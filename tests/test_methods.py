@@ -240,6 +240,25 @@ def test_dispatch_requires_u_and_boot():
         compute_region(14, s, 0.05, u=0.5)
 
 
+@pytest.mark.parametrize("method_id", [5, 6, 7, 8, 9])
+@pytest.mark.parametrize("boot", [np.array([]), np.zeros((2, 3)), np.zeros((1, 0)), np.float64(2.0)])
+def test_bootstrap_medians_that_are_empty_or_not_one_row_raise_value_error(method_id, boot):
+    # An empty row used to raise IndexError (5, 7) or ZeroDivisionError (8, 9).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-empty one-dimensional array of medians"):
+            compute_region(method_id, fixture_sample(), 0.05, boot=boot)
+
+
+def test_closed_rows_measure_a_signed_zero_width_as_region_content_does():
+    # A closed interval can run from lo = 0.0 to hi = -0.0 (method 5 did on
+    # subnormal data); the batch form's content was -0.0 where the region's is 0.0.
+    region = Region((Interval(0.0, -0.0, closed_hi=True),))
+    off, covered, content = methods._closed_rows((np.array([0.0]), np.array([-0.0])), 0.0)
+    assert (off, covered) == ([False], [True])
+    assert repr(content) == repr([region.content]) == "[0.0]"
+
+
 def test_unknown_method_id_message_reads_the_table():
     valid = f"valid ids are {ALL_METHOD_IDS[0]}..{ALL_METHOD_IDS[-1]}"
     s = fixture_sample()

@@ -83,6 +83,25 @@ def test_config_rejects_a_repeated_distribution_or_size():
         small_config(sample_sizes=(10, 15, 10))
 
 
+@pytest.mark.parametrize("field, value", [("sample_sizes", (10, 15.0)), ("reps", 2.0),
+                                          ("breps", 20.0), ("workers", 1.0)])
+def test_config_rejects_a_non_integer_count(field, value):
+    # Each used to fail only inside run_simulation, a size when its cell started.
+    with pytest.raises(ValueError, match="must be an integer"):
+        small_config(**{field: value})
+
+
+def test_numpy_integer_counts_and_seed_write_the_same_rows_and_a_float_seed_raises():
+    one = dict(distributions=(normal(),), methods=(3, 5))
+    ints = small_config(**one, sample_sizes=(10,), reps=3, breps=5)
+    numpy_ints = small_config(**one, sample_sizes=(np.int64(10),), reps=np.int32(3),
+                              breps=np.int64(5), workers=np.int8(1), master_seed=np.int64(7))
+    assert results_to_csv(run_simulation(numpy_ints)) == results_to_csv(run_simulation(ints))
+    # A float seed used to run and key its streams "i:1.5".
+    with pytest.raises(ValueError, match="master seed must be an integer"):
+        run_simulation(small_config(**one, sample_sizes=(10,), reps=1, master_seed=1.5))
+
+
 def test_cell_streams_are_the_replication_keys():
     # A cell keys (seed, label, n) once and takes child(rep) per replication:
     # each sample is draw's on the replication's own key.
@@ -399,7 +418,7 @@ def block_and_scalar(methods, samples, alpha, target, breps, rngs):
         want = []
         for i, (s, rng) in enumerate(zip(samples, rngs)):
             boot = None if medians is None else bootstrap_medians(s, breps, rng.child("boot"))
-            assert boot is None or boot.medians.array.tobytes() == medians[i].tobytes()
+            assert boot is None or boot.tobytes() == medians[i].tobytes()
             row = {}
             for m in methods:
                 u = rng.child("rand", m).uniform() if METHODS[m].randomized else None
